@@ -15,7 +15,13 @@ import time
 from dataclasses import dataclass
 
 from .core import Circuit, new_state
-from .sched import Strategy, apply_gate, executed_iteration_count, iteration_plan
+from .sched import (
+    Strategy,
+    apply_gate,
+    executed_iteration_count,
+    iteration_plan,
+    thread_pool,
+)
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -109,8 +115,10 @@ def run_bench(
     """Execute the circuit ``reps`` times from a fresh |0...0> state, timing
     each repetition on the monotonic wall clock, and report the median total.
 
-    Every gate's executed-iteration count is checked against its plan; the
-    optimized scheduler must execute exactly 2**(n - n_c - 1) iterations.
+    Every gate's executed-iteration count, as the scheduler reports it from
+    the work it ran, is checked against its plan (the optimized scheduler
+    must execute exactly 2**(n - n_c - 1) iterations); a gate off its plan
+    raises RuntimeError. The report carries the executed counts.
     """
     if reps < 1:
         raise ValueError("need at least one repetition")
@@ -119,20 +127,22 @@ def run_bench(
 
     totals = []
     gate_times: list[list[float]] = [[] for _ in circuit.gates]
-    for _ in range(reps):
-        state = new_state(circuit.num_qubits, precision)
-        t_start = time.perf_counter()
-        if per_gate_timing:
+    with thread_pool(threads) as pool:
+        for _ in range(reps):
+            state = new_state(circuit.num_qubits, precision)
+            executed_total = 0
+            t_start = time.perf_counter()
             for idx, gate in enumerate(circuit.gates):
                 g_start = time.perf_counter()
-                executed = apply_gate(state, gate, strategy, threads=threads)
+                executed = apply_gate(state, gate, strategy, threads=threads, pool=pool)
                 gate_times[idx].append(time.perf_counter() - g_start)
-                assert executed == planned[idx], "scheduler executed off-plan"
-        else:
-            for idx, gate in enumerate(circuit.gates):
-                executed = apply_gate(state, gate, strategy, threads=threads)
-                assert executed == planned[idx], "scheduler executed off-plan"
-        totals.append(time.perf_counter() - t_start)
+                if executed != planned[idx]:
+                    raise RuntimeError(
+                        f"gate {idx} executed {executed} iterations off its plan "
+                        f"of {planned[idx]}"
+                    )
+                executed_total += executed
+            totals.append(time.perf_counter() - t_start)
 
     total = statistics.median(totals)
     return BenchReport(
@@ -141,7 +151,7 @@ def run_bench(
         scheduler=strategy.value,
         repetitions=reps,
         total_time_seconds=total,
-        iterations_executed=sum(planned),
+        iterations_executed=executed_total,
         device_name=power.device_name,
         power_watts=power.power_watts,
         energy_joules=energy(total, power),

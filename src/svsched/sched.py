@@ -15,16 +15,22 @@ Two interchangeable strategies execute a gate:
   (``reduced_to_global``), and updates memory unconditionally.
 
 Both write each surviving amplitude exactly once per gate with identical
-arithmetic, so their results are bit-identical. Iterations within one gate
-write disjoint pairs and may run on several threads; gates are sequential.
+arithmetic, so their results are bit-identical. Both run a gate's iteration
+range through one block loop (``_run_blocks``): a block of at most ``_BLOCK``
+iterations builds its indices and gathered amplitudes, updates its pairs and
+frees them, so a gate's working memory is O(block) per thread whatever the
+register size. Iterations within one gate write disjoint pairs and may run on
+several threads; gates are sequential.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -32,6 +38,12 @@ from .core import Circuit, GateMatrix, GateOp, StateVector
 
 # Below this many iterations a gate is not worth splitting across threads.
 _MIN_CHUNK = 1 << 15
+
+# Iterations per block. The largest per-block temporary is then 64 KiB of
+# complex128, under glibc's default 128 KiB mmap threshold, so blocks reuse
+# heap memory instead of faulting in fresh pages. 2**13 raised page faults
+# about threefold on small gates.
+_BLOCK = 1 << 12
 
 
 def ith_cleared(i, t: int):
@@ -69,17 +81,12 @@ def adjusted_control(c: int, t: int) -> int:
 class SkipStep:
     """One control's contribution to the reduced->global mapping."""
 
-    adjusted_control: int
-    skip_interval: int  # always 2**adjusted_control
+    adjusted_control: int  # the skip interval is 2**adjusted_control
 
 
 def skip_steps(target: int, controls: tuple[int, ...]) -> tuple[SkipStep, ...]:
-    """Precompute each control's adjusted index and skip interval, in order."""
-    steps = []
-    for c in controls:
-        c_adj = adjusted_control(c, target)
-        steps.append(SkipStep(c_adj, 1 << c_adj))
-    return tuple(steps)
+    """Precompute each control's adjusted index, in order."""
+    return tuple(SkipStep(adjusted_control(c, target)) for c in controls)
 
 
 def reduced_to_global(i_r, target: int, controls: tuple[int, ...]):
@@ -88,18 +95,20 @@ def reduced_to_global(i_r, target: int, controls: tuple[int, ...]):
     For each control, taken in ascending qubit order, the index advances past
     the pairs that control rules out:
 
-        i += (i // 2**c_adj + 1) * 2**c_adj
+        i += ((i >> c_adj) + 1) << c_adj
 
+    which is ``i += (i // 2**c_adj + 1) * 2**c_adj`` for non-negative i.
     Ascending control order is the validity condition of this formula and is
-    enforced here. Accepts an int or an integer ndarray and is strictly
-    increasing in i_r, so distinct reduced indices map to distinct global ones.
+    enforced here. Accepts an int or an integer ndarray (left unmodified) and
+    is strictly increasing in i_r, so distinct reduced indices map to distinct
+    global ones.
     """
     if any(a >= b for a, b in zip(controls, controls[1:])):
         raise ValueError(f"controls must be strictly ascending, got {controls}")
     i = i_r
     for step in skip_steps(target, tuple(controls)):
-        s = step.skip_interval
-        i = i + (i // s + 1) * s
+        c_adj = step.adjusted_control
+        i = i + (((i >> c_adj) + 1) << c_adj)
     return i
 
 
@@ -160,101 +169,118 @@ def _matrix_scalars(matrix: GateMatrix, dtype) -> tuple:
 
 def _update_pairs(amps: np.ndarray, p1: np.ndarray, stride: int, mat: tuple):
     a, b, c, d = mat
+    p2 = p1 + stride
     x = amps[p1]
-    y = amps[p1 + stride]
+    y = amps[p2]
     amps[p1] = a * x + b * y
-    amps[p1 + stride] = c * x + d * y
+    amps[p2] = c * x + d * y
 
 
-def _run_chunked(count: int, threads: int, body: Callable[[int, int], None]):
-    """Run body(lo, hi) over contiguous chunks of [0, count).
+def _worker_count(count: int, threads: int) -> int:
+    """Threads one gate of ``count`` iterations runs on: at most ``threads``
+    and the CPU count, and one per ``_MIN_CHUNK`` iterations."""
+    return max(1, min(threads, os.cpu_count() or 1, count // _MIN_CHUNK))
 
-    Chunks write disjoint pairs, so any partition yields a bit-identical state.
+
+@contextmanager
+def thread_pool(threads: int) -> Iterator[Executor | None]:
+    """A pool for a run of gates, or None when only one thread would run."""
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
+def _run_blocks(
+    count: int,
+    threads: int,
+    pool: Executor | None,
+    body: Callable[[int, int], None],
+) -> int:
+    """Run body(lo, hi) over [0, count) in blocks of at most ``_BLOCK``
+    iterations; returns the total size of the blocks run.
+
+    ``[0, count)`` is split into one contiguous range per worker, and each
+    worker walks its range block by block. Blocks write disjoint pairs, so any
+    partition yields a bit-identical state. Without a ``pool``, a gate that
+    uses several workers makes a pool for this call.
     """
-    if count == 0:
-        return
-    chunks = min(threads, count // _MIN_CHUNK) if threads > 1 else 1
-    if chunks <= 1:
-        body(0, count)
-        return
-    bounds = [count * k // chunks for k in range(chunks + 1)]
-    with ThreadPoolExecutor(max_workers=chunks) as pool:
-        futures = [
-            pool.submit(body, bounds[k], bounds[k + 1]) for k in range(chunks)
-        ]
-        for f in futures:
-            f.result()
+
+    def walk(lo: int, hi: int) -> int:
+        done = 0
+        for b_lo in range(lo, hi, _BLOCK):
+            b_hi = min(b_lo + _BLOCK, hi)
+            body(b_lo, b_hi)
+            done += b_hi - b_lo
+        return done
+
+    workers = _worker_count(count, threads)
+    if workers == 1:
+        return walk(0, count)
+    if pool is None:
+        with thread_pool(workers) as own:
+            return _run_blocks(count, workers, own, body)
+    bounds = [count * k // workers for k in range(workers + 1)]
+    futures = [pool.submit(walk, bounds[k], bounds[k + 1]) for k in range(workers)]
+    return sum(f.result() for f in futures)
 
 
 def baseline_apply(
-    state: StateVector, gate: GateOp, *, threads: int = 1, instrumented: bool = False
+    state: StateVector, gate: GateOp, *, threads: int = 1, pool: Executor | None = None
 ) -> int:
     """Execute a gate by visiting all 2**(n-1) iterations and checking controls.
 
-    In the default fast mode each control test discards failing iterations
-    before the next control is evaluated. With ``instrumented=True`` every
-    control is evaluated for every iteration (no short-circuit), mirroring a
-    statically scheduled kernel's honest per-iteration cost.
+    Every iteration's pair is tested against the gate's control mask, so
+    each control is evaluated on every iteration, as in a statically
+    scheduled kernel, and only the pairs that satisfy all controls are
+    updated.
 
-    Returns the number of iterations executed (always 2**(n-1)).
+    Returns the number of iterations visited (2**(n-1)), counted from the
+    blocks run.
     """
     _check_gate(state, gate)
-    n = state.num_qubits
     t = gate.target
     stride = 1 << t
+    cmask = sum(1 << c for c in gate.controls)
     mat = _matrix_scalars(gate.matrix, state.amplitudes.dtype)
     amps = state.amplitudes
 
     def body(lo: int, hi: int):
-        i = np.arange(lo, hi, dtype=np.int64)
-        p1 = ith_cleared(i, t)
-        if instrumented:
-            perform = np.ones(p1.shape, dtype=bool)
-            for c in gate.controls:
-                perform &= (p1 >> c) & 1 == 1
-            p1 = p1[perform]
-        else:
-            for c in gate.controls:
-                p1 = p1[(p1 >> c) & 1 == 1]
-                if p1.size == 0:
-                    break
+        p1 = ith_cleared(np.arange(lo, hi, dtype=np.int64), t)
+        p1 = p1[(p1 & cmask) == cmask]
         if p1.size:
             _update_pairs(amps, p1, stride, mat)
 
-    total = 1 << (n - 1)
-    _run_chunked(total, threads, body)
-    return total
+    return _run_blocks(1 << (state.num_qubits - 1), threads, pool, body)
 
 
-def optimized_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> int:
+def optimized_apply(
+    state: StateVector, gate: GateOp, *, threads: int = 1, pool: Executor | None = None
+) -> int:
     """Execute a gate scheduling only the control-satisfying iterations.
 
     Each of the 2**(n - n_c - 1) reduced indices is mapped to its global
-    iteration index, and the pair update runs unconditionally: every scheduled
-    iteration does useful work. The final state is bit-identical to
-    ``baseline_apply``.
+    iteration index by ``reduced_to_global``, and the pair update runs
+    unconditionally: every scheduled iteration does useful work. The final
+    state is bit-identical to ``baseline_apply``.
 
-    Returns the number of iterations executed.
+    Returns the number of iterations executed, counted from the blocks run.
     """
     _check_gate(state, gate)
-    n = state.num_qubits
     t = gate.target
     stride = 1 << t
-    steps = skip_steps(t, gate.controls)
+    controls = gate.controls
     mat = _matrix_scalars(gate.matrix, state.amplitudes.dtype)
     amps = state.amplitudes
 
     def body(lo: int, hi: int):
-        i = np.arange(lo, hi, dtype=np.int64)
-        for step in steps:
-            s = step.skip_interval
-            i += (i // s + 1) * s
-        p1 = ith_cleared(i, t)
-        _update_pairs(amps, p1, stride, mat)
+        i = reduced_to_global(np.arange(lo, hi, dtype=np.int64), t, controls)
+        _update_pairs(amps, ith_cleared(i, t), stride, mat)
 
-    count = 1 << (n - 1 - gate.num_controls)
-    _run_chunked(count, threads, body)
-    return count
+    count = 1 << (state.num_qubits - 1 - gate.num_controls)
+    return _run_blocks(count, threads, pool, body)
 
 
 def apply_gate(
@@ -263,11 +289,16 @@ def apply_gate(
     strategy: Strategy = Strategy.OPTIMIZED,
     *,
     threads: int = 1,
+    pool: Executor | None = None,
 ) -> int:
-    """Execute one gate with the chosen strategy; returns iterations executed."""
+    """Execute one gate with the chosen strategy; returns iterations executed.
+
+    ``pool`` is a ``thread_pool`` shared by a run of gates; without one, a
+    gate that uses several threads makes its own.
+    """
     if strategy is Strategy.BASELINE:
-        return baseline_apply(state, gate, threads=threads)
-    return optimized_apply(state, gate, threads=threads)
+        return baseline_apply(state, gate, threads=threads, pool=pool)
+    return optimized_apply(state, gate, threads=threads, pool=pool)
 
 
 def apply_circuit(
@@ -279,6 +310,7 @@ def apply_circuit(
 ) -> int:
     """Execute a circuit gate by gate (gates are strictly sequential).
 
+    With ``threads > 1`` one thread pool serves every gate of the run.
     Returns the total number of iterations executed across all gates.
     """
     if circuit.num_qubits != state.num_qubits:
@@ -286,6 +318,9 @@ def apply_circuit(
             f"circuit is over {circuit.num_qubits} qubits, state over {state.num_qubits}"
         )
     executed = 0
-    for gate in circuit.gates:
-        executed += apply_gate(state, gate, strategy, threads=threads)
+    with thread_pool(threads) as pool:
+        for gate in circuit.gates:
+            # Looked up as a module global on every gate, so a wrapper
+            # installed on sched.apply_gate sees each call.
+            executed += apply_gate(state, gate, strategy, threads=threads, pool=pool)
     return executed

@@ -127,6 +127,16 @@ class TestRunBench:
         assert len(report.per_gate_times) == 15
         assert all(t >= 0 for t in report.per_gate_times)
 
+    def test_off_plan_count_raises(self, monkeypatch):
+        import svsched.bench
+
+        real = svsched.bench.apply_gate
+        monkeypatch.setattr(
+            svsched.bench, "apply_gate", lambda *a, **kw: real(*a, **kw) - 1
+        )
+        with pytest.raises(RuntimeError, match="off its plan"):
+            run_bench(gen_qft(3), Strategy.OPTIMIZED, 1, DEFAULT_POWER_MODELS["cpu"])
+
     def test_reps_validation(self):
         with pytest.raises(ValueError):
             run_bench(gen_qft(3), Strategy.OPTIMIZED, 0, DEFAULT_POWER_MODELS["cpu"])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import svsched.verify
-from svsched import parse_circuit
-from svsched.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from svsched import Circuit, apply_circuit, named_gate, new_state, parse_circuit
+from svsched.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, top_indices
 
 
 def run_cli(capsys, *argv):
@@ -242,3 +242,41 @@ class TestUsage:
         code, _, err = run_cli(capsys, "run", "qft:3")
         assert code == EXIT_USAGE
         assert "SVSCHED_THREADS" in err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_threads_env_below_one(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SVSCHED_THREADS", value)
+        code, out, err = run_cli(capsys, "run", "qft:3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "SVSCHED_THREADS must be >= 1" in err
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_flag_below_one(self, capsys, command, value):
+        code, out, err = run_cli(capsys, command, "qft:3", "--threads", value)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--threads must be >= 1, got {value}" in err
+
+
+class TestTopIndices:
+    @staticmethod
+    def lexsort_order(probs, k):
+        return np.lexsort((np.arange(probs.size), -probs))[:k]
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 16, 40])
+    def test_all_tied_state_matches_lexsort(self, k):
+        n = 4
+        state = new_state(n)
+        apply_circuit(state, Circuit(n, [named_gate("h", q) for q in range(n)]))
+        probs = np.abs(state.amplitudes) ** 2
+        assert np.all(probs == probs[0])
+        got = top_indices(probs, k)
+        np.testing.assert_array_equal(got, self.lexsort_order(probs, k))
+        assert list(got) == list(range(min(k, 1 << n)))
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_ties_at_the_kth_place_keep_smaller_indices(self, k):
+        probs = np.array([0.1, 0.3, 0.1, 0.3, 0.2, 0.1])
+        np.testing.assert_array_equal(top_indices(probs, k), self.lexsort_order(probs, k))

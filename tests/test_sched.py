@@ -1,17 +1,23 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from svsched import (
     GateOp,
+    StateVector,
     Strategy,
     active_set_oracle,
     adjusted_control,
     apply_circuit,
+    apply_gate,
     baseline_apply,
     control_satisfied,
     executed_iteration_count,
     gate_h,
     gate_x,
+    gen_qft,
     gen_streaming,
     iteration_plan,
     ith_cleared,
@@ -23,6 +29,7 @@ from svsched import (
     skip_steps,
 )
 from svsched.oracle import dense_apply, gate_to_dense
+from svsched.sched import _BLOCK, _MIN_CHUNK, _worker_count
 from svsched.verify import all_geometries, random_gate_matrix, random_state
 from conftest import basis_state
 
@@ -112,8 +119,10 @@ class TestAdjustedControl:
             adjusted_control(3, 3)
 
     def test_skip_steps_are_powers_of_two(self):
-        for step in skip_steps(2, (0, 1, 3, 4)):
-            assert step.skip_interval == 1 << step.adjusted_control
+        # each control skips 2**adjusted_control iterations; controls above
+        # the target shift down by one
+        steps = skip_steps(2, (0, 1, 3, 4))
+        assert [step.adjusted_control for step in steps] == [0, 1, 2, 3]
 
 
 class TestReducedToGlobal:
@@ -217,14 +226,6 @@ class TestBaselineApply:
                 state.amplitudes, expected.amplitudes, atol=1e-10
             )
 
-    def test_instrumented_mode_same_result(self, rng):
-        gate = GateOp(random_gate_matrix(rng), 2, (0, 4))
-        a = random_state(rng, 6)
-        b = a.copy()
-        baseline_apply(a, gate, instrumented=True)
-        baseline_apply(b, gate, instrumented=False)
-        np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-
     def test_out_of_range_gate_rejected(self):
         state = new_state(2)
         with pytest.raises(ValueError):
@@ -321,6 +322,52 @@ class TestThreading:
         optimized_apply(a, gate, threads=1)
         optimized_apply(b, gate, threads=threads)
         assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+class TestBlocks:
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        # computed only: no thread is started
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _worker_count(1 << 29, 1 << 14) == 4
+        assert _worker_count(1 << 29, 3) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(1 << 29, 1 << 14) == 1
+
+    def test_small_gates_run_on_one_worker(self):
+        assert _worker_count(_MIN_CHUNK * 2 - 1, 8) == 1
+        assert _worker_count(0, 8) == 1
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("controls", [(), (11,)])
+    def test_gate_memory_is_bounded_by_the_block(self, strategy, controls):
+        # a 16 MiB state; whole-range temporaries would take 20-40 MiB
+        state = new_state(20)
+        gate = GateOp(gate_h() if not controls else gate_x(), 7, controls)
+        tracemalloc.start()
+        try:
+            apply_gate(state, gate, strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize(
+        "circuit", [gen_qft(16), gen_streaming(18)], ids=["qft16", "stream18"]
+    )
+    def test_circuit_threads_are_bit_identical(
+        self, rng, monkeypatch, circuit, dtype, threads
+    ):
+        # enough CPUs that 3 workers split 2**17 iterations off block boundaries
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert (1 << 17) // 3 % _BLOCK
+        n = circuit.num_qubits
+        state = StateVector(n, random_state(rng, n).amplitudes.astype(dtype))
+        ref = state.copy()
+        assert apply_circuit(state, circuit, threads=threads) == apply_circuit(ref, circuit)
+        assert state.amplitudes.dtype == dtype
+        assert np.array_equal(state.amplitudes, ref.amplitudes)
 
 
 class TestApplyCircuit:
