@@ -11,7 +11,6 @@ from .core import (
     GateOp,
     MAX_QUBITS,
     StateVector,
-    apply_pair_update,
     gate_h,
     gate_rm,
     gate_x,
@@ -21,7 +20,6 @@ from .core import (
     norm_sq,
 )
 from .sched import (
-    IterationPlan,
     SkipStep,
     Strategy,
     active_set_oracle,
@@ -30,8 +28,7 @@ from .sched import (
     apply_gate,
     baseline_apply,
     control_satisfied,
-    executed_iteration_count,
-    iteration_plan,
+    iteration_count,
     ith_cleared,
     optimized_apply,
     pair_indices,

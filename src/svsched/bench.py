@@ -15,13 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .core import Circuit, new_state
-from .sched import (
-    Strategy,
-    apply_gate,
-    executed_iteration_count,
-    iteration_plan,
-    thread_pool,
-)
+from .sched import Strategy, apply_gate, iteration_count, thread_pool
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -122,8 +116,7 @@ def run_bench(
     """
     if reps < 1:
         raise ValueError("need at least one repetition")
-    plans = [iteration_plan(strategy, circuit.num_qubits, g) for g in circuit.gates]
-    planned = [executed_iteration_count(p) for p in plans]
+    planned = [iteration_count(strategy, circuit.num_qubits, g) for g in circuit.gates]
 
     totals = []
     gate_times: list[list[float]] = [[] for _ in circuit.gates]

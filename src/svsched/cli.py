@@ -4,8 +4,8 @@ against brute force, and benchmark.
 Circuit sources are either a path to a circuit text file or a generator spec
 token: ``qft:<n>``, ``stream:<n>``, ``sq:<input_bits>``.
 
-Exit codes: 0 success, 2 usage error, 3 capacity exceeded, 4 verification
-mismatch.
+Exit codes: 0 success, 2 usage error, 3 capacity exceeded (also out of
+memory), 4 verification mismatch.
 """
 
 from __future__ import annotations
@@ -75,8 +75,13 @@ def top_indices(probs: np.ndarray, k: int) -> np.ndarray:
         return np.empty(0, dtype=np.intp)
     # The k-th largest value. Selecting from the front of -probs: selecting
     # from the back of probs took 10x longer on a basis state (one 1, all
-    # other entries 0).
-    kth = -np.partition(-probs, k - 1)[k - 1]
+    # other entries 0). The negated copy is partitioned in place and freed
+    # before the scans below, so at most one state-sized float64 temporary
+    # is alive at a time.
+    neg = -probs
+    neg.partition(k - 1)
+    kth = -neg[k - 1]
+    del neg
     above = np.flatnonzero(probs > kth)
     tied = np.flatnonzero(probs == kth)[: k - above.size]
     chosen = np.concatenate((above, tied))
@@ -348,6 +353,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"capacity error: out of memory{detail}", file=sys.stderr)
         return EXIT_CAPACITY
     except CircuitParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

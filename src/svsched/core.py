@@ -211,26 +211,3 @@ def gate_rm(m: int) -> GateMatrix:
     if m < 1:
         raise ValueError(f"rotation order m must be >= 1, got {m}")
     return GateMatrix(1, 0, 0, cmath.exp(1j * math.ldexp(2.0 * math.pi, -m)))
-
-
-def apply_pair_update(state: StateVector, p1: int, p2: int, matrix: GateMatrix):
-    """Update one amplitude pair in place:
-
-        new[p1] = a*old[p1] + b*old[p2]
-        new[p2] = c*old[p1] + d*old[p2]
-
-    Callers guarantee p2 == p1 + 2**t for the gate's target t; this function
-    only enforces distinct, in-range indices.
-    """
-    size = state.amplitudes.shape[0]
-    if not (0 <= p1 < size and 0 <= p2 < size):
-        raise IndexError(f"pair ({p1}, {p2}) out of range for {size} amplitudes")
-    if p1 == p2:
-        raise ValueError("pair indices must differ")
-    amps = state.amplitudes
-    scalar = amps.dtype.type
-    a, b = scalar(matrix.a), scalar(matrix.b)
-    c, d = scalar(matrix.c), scalar(matrix.d)
-    x, y = amps[p1], amps[p2]
-    amps[p1] = a * x + b * y
-    amps[p2] = c * x + d * y

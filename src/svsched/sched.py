@@ -14,11 +14,12 @@ Two interchangeable strategies execute a gate:
   index back to the global one with per-control skip intervals
   (``reduced_to_global``), and updates memory unconditionally.
 
-Both write each surviving amplitude exactly once per gate with identical
-arithmetic, so their results are bit-identical. Both run a gate's iteration
-range through one block loop (``_run_blocks``): a block of at most ``_BLOCK``
-iterations builds its indices and gathered amplitudes, updates its pairs and
-frees them, so a gate's working memory is O(block) per thread whatever the
+Both write each surviving amplitude exactly once per gate with the same
+pair update (``_update_pairs``), so their results are bit-identical. Both run
+a gate's iteration range through one block loop (``_run_blocks``): a block of
+at most ``_BLOCK`` iterations takes its indices from a per-gate template plus
+one offset (``_block_indices``), gathers and updates its pairs and frees the
+temporaries, so a gate's working memory is O(block) per thread whatever the
 register size. Iterations within one gate write disjoint pairs and may run on
 several threads; gates are sequential.
 """
@@ -128,37 +129,17 @@ class Strategy(str, Enum):
     OPTIMIZED = "optimized"
 
 
-@dataclass(frozen=True)
-class IterationPlan:
-    """The resolved iteration set a scheduler will execute for one gate."""
+def iteration_count(strategy: Strategy, num_qubits: int, gate: GateOp) -> int:
+    """Iterations a scheduler runs for ``gate``: 2**(n-1) baseline,
+    2**(n-n_c-1) optimized.
 
-    strategy: Strategy
-    num_qubits: int
-    target: int
-    controls: tuple[int, ...]
-    count: int
-
-
-def executed_iteration_count(plan: IterationPlan) -> int:
-    """Iterations the plan schedules: 2**(n-1) baseline, 2**(n-n_c-1) optimized."""
-    if plan.strategy is Strategy.BASELINE:
-        return 1 << (plan.num_qubits - 1)
-    return 1 << (plan.num_qubits - 1 - len(plan.controls))
-
-
-def iteration_plan(strategy: Strategy, num_qubits: int, gate: GateOp) -> IterationPlan:
-    if gate.num_controls > num_qubits - 1 or gate.target >= num_qubits:
-        raise ValueError(f"gate does not fit a {num_qubits}-qubit register")
+    Raises ValueError if a qubit of the gate is outside the register.
+    """
+    top = max(gate.qubits)
+    if top >= num_qubits:
+        raise ValueError(f"qubit {top} out of range for a {num_qubits}-qubit register")
     n_c = gate.num_controls if strategy is Strategy.OPTIMIZED else 0
-    count = 1 << (num_qubits - 1 - n_c)
-    return IterationPlan(strategy, num_qubits, gate.target, gate.controls, count)
-
-
-def _check_gate(state: StateVector, gate: GateOp):
-    n = state.num_qubits
-    for q in (gate.target, *gate.controls):
-        if q >= n:
-            raise ValueError(f"qubit {q} out of range for a {n}-qubit state")
+    return 1 << (num_qubits - 1 - n_c)
 
 
 def _matrix_scalars(matrix: GateMatrix, dtype) -> tuple:
@@ -168,12 +149,42 @@ def _matrix_scalars(matrix: GateMatrix, dtype) -> tuple:
 
 
 def _update_pairs(amps: np.ndarray, p1: np.ndarray, stride: int, mat: tuple):
+    """Apply [[a, b], [c, d]] to every pair (p1, p1 + stride).
+
+    X is a pure swap: it equals ``0*x + 1*y`` bit for bit except for the sign
+    of a zero component, which the product can flip.
+    """
     a, b, c, d = mat
     p2 = p1 + stride
     x = amps[p1]
+    if a == 0 and b == 1 and c == 1 and d == 0:
+        amps[p1] = amps[p2]
+        amps[p2] = x
+        return
     y = amps[p2]
     amps[p1] = a * x + b * y
     amps[p2] = c * x + d * y
+
+
+def _block_indices(count: int, p1_of: Callable) -> Callable[[int, int], np.ndarray]:
+    """First pair indices ``p1_of(arange(lo, hi))`` of a block that lies in one
+    ``_BLOCK``-aligned window, from a template computed once per gate.
+
+    ``p1_of`` must be a bit deposit: it spreads the bits of ``i`` over fixed
+    positions and ORs in fixed bits ``p1_of(0)``. For a window start ``L``
+    (a multiple of ``_BLOCK``) and ``0 <= j < _BLOCK`` the bits of ``L`` and
+    ``j`` are disjoint, so ``p1_of(L + j) == p1_of(L) - p1_of(0) + p1_of(j)``.
+    """
+    tpl = p1_of(np.arange(min(count, _BLOCK), dtype=np.int64))
+    fixed = int(tpl[0])
+
+    def indices(lo: int, hi: int) -> np.ndarray:
+        start = lo - lo % _BLOCK
+        if start == 0:
+            return tpl[lo:hi]
+        return tpl[lo - start : hi - start] + (p1_of(start) - fixed)
+
+    return indices
 
 
 def _worker_count(count: int, threads: int) -> int:
@@ -203,15 +214,16 @@ def _run_blocks(
     iterations; returns the total size of the blocks run.
 
     ``[0, count)`` is split into one contiguous range per worker, and each
-    worker walks its range block by block. Blocks write disjoint pairs, so any
-    partition yields a bit-identical state. Without a ``pool``, a gate that
-    uses several workers makes a pool for this call.
+    worker walks the ``_BLOCK``-aligned windows its range overlaps, clipped to
+    the range, so every block lies in one window. Blocks write disjoint pairs,
+    so any partition yields a bit-identical state. Without a ``pool``, a gate
+    that uses several workers makes a pool for this call.
     """
 
     def walk(lo: int, hi: int) -> int:
         done = 0
-        for b_lo in range(lo, hi, _BLOCK):
-            b_hi = min(b_lo + _BLOCK, hi)
+        for start in range(lo - lo % _BLOCK, hi, _BLOCK):
+            b_lo, b_hi = max(start, lo), min(start + _BLOCK, hi)
             body(b_lo, b_hi)
             done += b_hi - b_lo
         return done
@@ -240,20 +252,21 @@ def baseline_apply(
     Returns the number of iterations visited (2**(n-1)), counted from the
     blocks run.
     """
-    _check_gate(state, gate)
+    count = iteration_count(Strategy.BASELINE, state.num_qubits, gate)
     t = gate.target
     stride = 1 << t
     cmask = sum(1 << c for c in gate.controls)
     mat = _matrix_scalars(gate.matrix, state.amplitudes.dtype)
     amps = state.amplitudes
+    indices = _block_indices(count, lambda i: ith_cleared(i, t))
 
     def body(lo: int, hi: int):
-        p1 = ith_cleared(np.arange(lo, hi, dtype=np.int64), t)
+        p1 = indices(lo, hi)
         p1 = p1[(p1 & cmask) == cmask]
         if p1.size:
             _update_pairs(amps, p1, stride, mat)
 
-    return _run_blocks(1 << (state.num_qubits - 1), threads, pool, body)
+    return _run_blocks(count, threads, pool, body)
 
 
 def optimized_apply(
@@ -263,23 +276,26 @@ def optimized_apply(
 
     Each of the 2**(n - n_c - 1) reduced indices is mapped to its global
     iteration index by ``reduced_to_global``, and the pair update runs
-    unconditionally: every scheduled iteration does useful work. The final
-    state is bit-identical to ``baseline_apply``.
+    unconditionally: every scheduled iteration does useful work. The mapping
+    runs once per gate on one block's worth of reduced indices, and once more
+    per block on the start of its window; the final state is bit-identical
+    to ``baseline_apply``.
 
     Returns the number of iterations executed, counted from the blocks run.
     """
-    _check_gate(state, gate)
+    count = iteration_count(Strategy.OPTIMIZED, state.num_qubits, gate)
     t = gate.target
     stride = 1 << t
     controls = gate.controls
     mat = _matrix_scalars(gate.matrix, state.amplitudes.dtype)
     amps = state.amplitudes
+    indices = _block_indices(
+        count, lambda i: ith_cleared(reduced_to_global(i, t, controls), t)
+    )
 
     def body(lo: int, hi: int):
-        i = reduced_to_global(np.arange(lo, hi, dtype=np.int64), t, controls)
-        _update_pairs(amps, ith_cleared(i, t), stride, mat)
+        _update_pairs(amps, indices(lo, hi), stride, mat)
 
-    count = 1 << (state.num_qubits - 1 - gate.num_controls)
     return _run_blocks(count, threads, pool, body)
 
 

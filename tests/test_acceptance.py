@@ -20,12 +20,11 @@ from svsched import (
     apply_circuit,
     baseline_apply,
     energy,
-    executed_iteration_count,
     gen_cuccaro_adder,
     gen_qft,
     gen_squaring,
     gen_streaming,
-    iteration_plan,
+    iteration_count,
     new_state,
     norm_sq,
     optimized_apply,
@@ -127,8 +126,8 @@ class TestCriterion3IterationCounts:
                 controls = tuple(sorted(rng.choice(others, size=n_c, replace=False))) if n_c else ()
                 gate = GateOp(random_gate_matrix(rng), t, controls)
                 executed = optimized_apply(state, gate)
-                plan = iteration_plan(Strategy.OPTIMIZED, n, gate)
-                per_gate_ok &= executed == executed_iteration_count(plan) == 1 << (n - n_c - 1)
+                planned = iteration_count(Strategy.OPTIMIZED, n, gate)
+                per_gate_ok &= executed == planned == 1 << (n - n_c - 1)
 
         # run_bench re-asserts the law on every gate of every repetition
         opt = run_bench(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import svsched.cli
 import svsched.verify
 from svsched import Circuit, apply_circuit, named_gate, new_state, parse_circuit
 from svsched.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, top_indices
@@ -75,6 +76,17 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "qft:31")
         assert code == EXIT_CAPACITY
         assert "30" in err
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 4.00 GiB", ""])
+    def test_out_of_memory_is_capacity_error(self, capsys, monkeypatch, message):
+        def no_memory(num_qubits, precision="double"):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(svsched.cli, "new_state", no_memory)
+        code, out, err = run_cli(capsys, "run", "qft:4")
+        assert code == EXIT_CAPACITY
+        assert out == ""
+        assert err == f"capacity error: out of memory{': ' + message if message else ''}\n"
 
     def test_dump_writes_full_state(self, capsys, tmp_path):
         dump = tmp_path / "state.txt"

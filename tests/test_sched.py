@@ -14,12 +14,11 @@ from svsched import (
     apply_gate,
     baseline_apply,
     control_satisfied,
-    executed_iteration_count,
     gate_h,
     gate_x,
     gen_qft,
     gen_streaming,
-    iteration_plan,
+    iteration_count,
     ith_cleared,
     new_state,
     norm_sq,
@@ -28,6 +27,7 @@ from svsched import (
     reduced_to_global,
     skip_steps,
 )
+from svsched import sched
 from svsched.oracle import dense_apply, gate_to_dense
 from svsched.sched import _BLOCK, _MIN_CHUNK, _worker_count
 from svsched.verify import all_geometries, random_gate_matrix, random_state
@@ -181,17 +181,19 @@ class TestActiveSetOracle:
 
 class TestIterationCounts:
     def test_baseline_count(self):
-        plan = iteration_plan(Strategy.BASELINE, 29, GateOp(gate_x(), 3, (1,)))
-        assert executed_iteration_count(plan) == 1 << 28
-        assert plan.count == 1 << 28
+        assert iteration_count(Strategy.BASELINE, 29, GateOp(gate_x(), 3, (1,))) == 1 << 28
 
     def test_optimized_count_one_control(self):
-        plan = iteration_plan(Strategy.OPTIMIZED, 29, GateOp(gate_x(), 3, (1,)))
-        assert executed_iteration_count(plan) == 1 << 27
+        assert iteration_count(Strategy.OPTIMIZED, 29, GateOp(gate_x(), 3, (1,))) == 1 << 27
 
     def test_optimized_count_saturated_controls(self):
-        plan = iteration_plan(Strategy.OPTIMIZED, 4, GateOp(gate_x(), 0, (1, 2, 3)))
-        assert executed_iteration_count(plan) == 1
+        assert iteration_count(Strategy.OPTIMIZED, 4, GateOp(gate_x(), 0, (1, 2, 3))) == 1
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("target, controls", [(4, ()), (0, (4,)), (1, (0, 2, 3, 4))])
+    def test_gate_outside_register_rejected(self, strategy, target, controls):
+        with pytest.raises(ValueError, match="qubit 4 out of range"):
+            iteration_count(strategy, 4, GateOp(gate_x(), target, controls))
 
     def test_apply_return_values_match_plans(self):
         state = new_state(6)
@@ -370,6 +372,94 @@ class TestBlocks:
         assert np.array_equal(state.amplitudes, ref.amplitudes)
 
 
+def record_pair_indices(monkeypatch) -> list:
+    """Copies of every index array the kernels pass to the pair update."""
+    seen = []
+    update = sched._update_pairs
+
+    def spy(amps, p1, stride, mat):
+        seen.append(p1.copy())
+        update(amps, p1, stride, mat)
+
+    monkeypatch.setattr(sched, "_update_pairs", spy)
+    return seen
+
+
+def expected_pair_indices(strategy, n, t, controls) -> np.ndarray:
+    """First pair indices a gate must update, ascending: the mapped reduced
+    range (optimized) or the brute-force active set (baseline)."""
+    if strategy is Strategy.OPTIMIZED:
+        reduced = np.arange(1 << (n - 1 - len(controls)), dtype=np.int64)
+        return np.atleast_1d(ith_cleared(reduced_to_global(reduced, t, controls), t))
+    return np.array(sorted(ith_cleared(i, t) for i in active_set_oracle(n, t, controls)))
+
+
+class TestExecutedIndices:
+    """The indices the kernels actually run, recorded at the pair update."""
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_every_geometry_runs_its_pairs_once(self, monkeypatch, strategy):
+        # 8-iteration blocks: every gate with n >= 5 runs several windows
+        monkeypatch.setattr(sched, "_BLOCK", 8)
+        seen = record_pair_indices(monkeypatch)
+        for n, t, controls in all_geometries(2, 8):
+            seen.clear()
+            gate = GateOp(gate_h(), t, controls)
+            count = apply_gate(new_state(n), gate, strategy)
+            assert count == iteration_count(strategy, n, gate)
+            got = np.concatenate(seen) if seen else np.empty(0, dtype=np.int64)
+            want = expected_pair_indices(strategy, n, t, controls)
+            assert np.array_equal(got, want), (n, t, controls)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_threaded_windows_off_worker_bounds(self, monkeypatch, strategy):
+        # 3 workers split 2**17 (baseline) or 2**15 (optimized) iterations
+        # off block boundaries, so workers start and end inside windows
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sched, "_MIN_CHUNK", _BLOCK)
+        seen = record_pair_indices(monkeypatch)
+        n, t, controls = 18, 9, (2, 14)
+        gate = GateOp(gate_h(), t, controls)
+        count = iteration_count(strategy, n, gate)
+        assert _worker_count(count, 3) == 3 and count // 3 % _BLOCK
+        assert apply_gate(new_state(n), gate, strategy, threads=3) == count
+        got = np.sort(np.concatenate(seen))
+        assert np.array_equal(got, expected_pair_indices(strategy, n, t, controls))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_x_cx_ccx_match_dense_oracle(self, rng, monkeypatch, strategy, dtype):
+        monkeypatch.setattr(sched, "_BLOCK", 8)
+        n = 7
+        for _, t, controls in all_geometries(n, n):
+            if len(controls) > 2:
+                continue
+            gate = GateOp(gate_x(), t, controls)
+            state = StateVector(n, random_state(rng, n).amplitudes.astype(dtype))
+            expected = dense_apply(gate_to_dense(gate, n), state).amplitudes
+            apply_gate(state, gate, strategy)
+            assert state.amplitudes.dtype == dtype
+            np.testing.assert_array_equal(state.amplitudes, expected.astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_swap_is_bytes_of_the_general_update(self, rng, monkeypatch, strategy, dtype):
+        # On a state with no zero component, 0*x + 1*y is y bit for bit.
+        monkeypatch.setattr(sched, "_BLOCK", 8)
+        n, t, controls = 8, 2, (5,)
+        amps = random_state(rng, n).amplitudes.astype(dtype)
+        assert np.all(amps.view(amps.real.dtype) != 0)
+        zero, one = dtype(0), dtype(1)
+        p1 = expected_pair_indices(Strategy.OPTIMIZED, n, t, controls)
+        p2 = p1 + (1 << t)
+        want = amps.copy()
+        want[p1] = zero * amps[p1] + one * amps[p2]
+        want[p2] = one * amps[p1] + zero * amps[p2]
+        state = StateVector(n, amps.copy())
+        apply_gate(state, GateOp(gate_x(), t, controls), strategy)
+        assert state.amplitudes.tobytes() == want.tobytes()
+
+
 class TestApplyCircuit:
     def test_iteration_total_and_sequencing(self):
         circuit = gen_streaming(6)
@@ -377,8 +467,7 @@ class TestApplyCircuit:
         executed = apply_circuit(state, circuit, Strategy.OPTIMIZED)
         assert executed == (1 << 6) - 1  # sum over gates of 2**(n-k-1)
         assert executed == sum(
-            executed_iteration_count(iteration_plan(Strategy.OPTIMIZED, 6, g))
-            for g in circuit.gates
+            iteration_count(Strategy.OPTIMIZED, 6, g) for g in circuit.gates
         )
 
     def test_size_mismatch_rejected(self):
