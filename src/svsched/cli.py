@@ -41,6 +41,9 @@ DUMP_MAX_QUBITS = 16
 
 THREADS_ENV_VAR = "SVSCHED_THREADS"
 
+# Probabilities per chunk of top_indices' tie scan (512 KiB of float64).
+_TIE_SCAN = 1 << 16
+
 _GENERATORS = {"qft": gen_qft, "stream": gen_streaming, "sq": gen_squaring}
 
 #: Register size a generator spec implies, checked against MAX_QUBITS upfront.
@@ -83,8 +86,17 @@ def top_indices(probs: np.ndarray, k: int) -> np.ndarray:
     kth = -neg[k - 1]
     del neg
     above = np.flatnonzero(probs > kth)
-    tied = np.flatnonzero(probs == kth)[: k - above.size]
-    chosen = np.concatenate((above, tied))
+    # The smallest indices tied at the k-th place, scanned in bounded chunks
+    # up to the first k - above.size of them: a state can tie on all 2**n.
+    parts = [above]
+    need = k - above.size
+    for lo in range(0, probs.size, _TIE_SCAN):
+        if need == 0:
+            break
+        tied = np.flatnonzero(probs[lo : lo + _TIE_SCAN] == kth)[:need]
+        parts.append(tied + lo)
+        need -= tied.size
+    chosen = np.concatenate(parts)
     return chosen[np.lexsort((chosen, -probs[chosen]))]
 
 

@@ -16,12 +16,15 @@ Two interchangeable strategies execute a gate:
 
 Both write each surviving amplitude exactly once per gate with the same
 pair update (``_update_pairs``), so their results are bit-identical. Both run
-a gate's iteration range through one block loop (``_run_blocks``): a block of
-at most ``_BLOCK`` iterations takes its indices from a per-gate template plus
-one offset (``_block_indices``), gathers and updates its pairs and frees the
-temporaries, so a gate's working memory is O(block) per thread whatever the
-register size. Iterations within one gate write disjoint pairs and may run on
-several threads; gates are sequential.
+a gate's iteration range through one block loop (``_run_blocks``) over
+windows of at most ``_BLOCK`` iterations, and map the start of every window
+once per gate (``_windows``). The optimized kernel updates a window through
+two strided views of the state, whose strides the mapping gives once per
+gate (``_pair_lattice``); the baseline gathers a window's pairs by index
+arrays, a per-gate template plus the window's start. Each window's
+temporaries are freed before the next, so a gate's working memory is
+O(block) per thread whatever the register size. Windows within one gate
+write disjoint pairs and may run on several threads; gates are sequential.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from enum import Enum
 from typing import Callable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import Circuit, GateMatrix, GateOp, StateVector
 
@@ -148,49 +152,82 @@ def _matrix_scalars(matrix: GateMatrix, dtype) -> tuple:
     return s(matrix.a), s(matrix.b), s(matrix.c), s(matrix.d)
 
 
-def _update_pairs(amps: np.ndarray, p1: np.ndarray, stride: int, mat: tuple):
-    """Apply [[a, b], [c, d]] to every pair (p1, p1 + stride).
+def _update_pairs(amps: np.ndarray, k1, k2, mat: tuple):
+    """Apply [[a, b], [c, d]] to every pair (amps[k1], amps[k2]).
 
-    X is a pure swap: it equals ``0*x + 1*y`` bit for bit except for the sign
-    of a zero component, which the product can flip.
+    A key is an index array, whose read is a gathered copy, or a basic
+    index, whose read is a view of ``amps`` and is copied here. Either way
+    the arithmetic runs on contiguous copies, so both kernels perform the
+    same element operations. X is a pure swap: it equals ``0*x + 1*y`` bit
+    for bit except for the sign of a zero component, which the product can
+    flip.
     """
     a, b, c, d = mat
-    p2 = p1 + stride
-    x = amps[p1]
+    x = amps[k1]
+    if not x.flags.owndata:
+        x = x.copy()
     if a == 0 and b == 1 and c == 1 and d == 0:
-        amps[p1] = amps[p2]
-        amps[p2] = x
+        amps[k1] = amps[k2]
+        amps[k2] = x
         return
-    y = amps[p2]
-    amps[p1] = a * x + b * y
-    amps[p2] = c * x + d * y
+    y = amps[k2]
+    if not y.flags.owndata:
+        y = y.copy()
+    amps[k1] = a * x + b * y
+    amps[k2] = c * x + d * y
 
 
-def _block_indices(count: int, p1_of: Callable) -> Callable[[int, int], np.ndarray]:
-    """First pair indices ``p1_of(arange(lo, hi))`` of a block that lies in one
-    ``_BLOCK``-aligned window, from a template computed once per gate.
+def _windows(count: int, p1_of: Callable) -> tuple[list[int], list[int]]:
+    """Geometry of the ``_BLOCK``-iteration windows of ``[0, count)``, from
+    one vectorised call of ``p1_of`` per gate: the first pair index of each
+    window, and the step ``p1_of(2**b) - p1_of(0)`` of each bit ``b`` of an
+    iteration's offset within its window.
 
     ``p1_of`` must be a bit deposit: it spreads the bits of ``i`` over fixed
     positions and ORs in fixed bits ``p1_of(0)``. For a window start ``L``
-    (a multiple of ``_BLOCK``) and ``0 <= j < _BLOCK`` the bits of ``L`` and
-    ``j`` are disjoint, so ``p1_of(L + j) == p1_of(L) - p1_of(0) + p1_of(j)``.
+    and ``0 <= j < _BLOCK`` the bits of ``L`` and ``j`` are disjoint, so
+    ``p1_of(L + j)`` is ``p1_of(L)`` plus the steps of the bits of ``j``.
     """
-    tpl = p1_of(np.arange(min(count, _BLOCK), dtype=np.int64))
-    fixed = int(tpl[0])
+    window = min(count, _BLOCK)
+    windows = count // window
+    bits = window.bit_length() - 1
+    at = p1_of(np.concatenate((np.arange(0, count, window), 1 << np.arange(bits))))
+    return at[:windows].tolist(), (at[windows:] - at[0]).tolist()
 
-    def indices(lo: int, hi: int) -> np.ndarray:
-        start = lo - lo % _BLOCK
-        if start == 0:
-            return tpl[lo:hi]
-        return tpl[lo - start : hi - start] + (p1_of(start) - fixed)
 
-    return indices
+def _pair_lattice(amps: np.ndarray, stride: int, steps: list[int]) -> np.ndarray:
+    """A strided view ``lat`` of ``amps`` with ``lat[s, 0]`` the first and
+    ``lat[s, 1]`` the second elements of the pairs of the window whose first
+    pair index is ``s``, in iteration order.
+
+    ``steps`` are the element steps of a window's iteration bits (see
+    ``_windows``); runs of doubling steps form one axis. Axis 0 steps one
+    amplitude, so ``lat[s]`` is the window at any start ``s``.
+    """
+    shape, strides = [], []
+    for step in steps:
+        if strides and step == strides[-1] * shape[-1]:
+            shape[-1] *= 2
+        else:
+            shape.append(2)
+            strides.append(step)
+    if not strides:  # a one-iteration window
+        shape, strides = [1], [1]
+    reach = stride + sum((size - 1) * step for size, step in zip(shape, strides))
+    es = amps.strides[0]
+    return as_strided(
+        amps,
+        shape=(amps.shape[0] - reach, 2, *shape[::-1]),
+        strides=(es, es * stride, *(es * step for step in strides[::-1])),
+    )
 
 
 def _worker_count(count: int, threads: int) -> int:
     """Threads one gate of ``count`` iterations runs on: at most ``threads``
     and the CPU count, and one per ``_MIN_CHUNK`` iterations."""
-    return max(1, min(threads, os.cpu_count() or 1, count // _MIN_CHUNK))
+    if threads <= 1 or count < 2 * _MIN_CHUNK:
+        return 1
+    return min(threads, os.cpu_count() or 1, count // _MIN_CHUNK)
 
 
 @contextmanager
@@ -208,33 +245,31 @@ def _run_blocks(
     count: int,
     threads: int,
     pool: Executor | None,
-    body: Callable[[int, int], None],
+    body: Callable[[int], None],
 ) -> int:
-    """Run body(lo, hi) over [0, count) in blocks of at most ``_BLOCK``
-    iterations; returns the total size of the blocks run.
+    """Run body(w) on every ``_BLOCK``-iteration window ``w`` of
+    ``[0, count)``; returns the total size of the windows run.
 
-    ``[0, count)`` is split into one contiguous range per worker, and each
-    worker walks the ``_BLOCK``-aligned windows its range overlaps, clipped to
-    the range, so every block lies in one window. Blocks write disjoint pairs,
-    so any partition yields a bit-identical state. Without a ``pool``, a gate
-    that uses several workers makes a pool for this call.
+    ``count`` is a power of two, so the windows tile ``[0, count)``. They are
+    split into one contiguous range of whole windows per worker. Windows
+    write disjoint pairs, so any split yields a bit-identical state. Without
+    a ``pool``, a gate that uses several workers makes a pool for this call.
     """
+    window = min(count, _BLOCK)
 
     def walk(lo: int, hi: int) -> int:
-        done = 0
-        for start in range(lo - lo % _BLOCK, hi, _BLOCK):
-            b_lo, b_hi = max(start, lo), min(start + _BLOCK, hi)
-            body(b_lo, b_hi)
-            done += b_hi - b_lo
-        return done
+        for w in range(lo, hi):
+            body(w)
+        return (hi - lo) * window
 
+    windows = count // window
     workers = _worker_count(count, threads)
     if workers == 1:
-        return walk(0, count)
+        return walk(0, windows)
     if pool is None:
         with thread_pool(workers) as own:
             return _run_blocks(count, workers, own, body)
-    bounds = [count * k // workers for k in range(workers + 1)]
+    bounds = [windows * k // workers for k in range(workers + 1)]
     futures = [pool.submit(walk, bounds[k], bounds[k + 1]) for k in range(workers)]
     return sum(f.result() for f in futures)
 
@@ -247,10 +282,11 @@ def baseline_apply(
     Every iteration's pair is tested against the gate's control mask, so
     each control is evaluated on every iteration, as in a statically
     scheduled kernel, and only the pairs that satisfy all controls are
-    updated.
+    updated. A window's first pair indices are a per-gate template plus the
+    window's start.
 
     Returns the number of iterations visited (2**(n-1)), counted from the
-    blocks run.
+    windows run.
     """
     count = iteration_count(Strategy.BASELINE, state.num_qubits, gate)
     t = gate.target
@@ -258,13 +294,16 @@ def baseline_apply(
     cmask = sum(1 << c for c in gate.controls)
     mat = _matrix_scalars(gate.matrix, state.amplitudes.dtype)
     amps = state.amplitudes
-    indices = _block_indices(count, lambda i: ith_cleared(i, t))
+    # ith_cleared is a bit deposit with ith_cleared(0) == 0, so a window
+    # starting at L holds ith_cleared(L) + ith_cleared(arange(_BLOCK)).
+    tpl = ith_cleared(np.arange(min(count, _BLOCK), dtype=np.int64), t)
+    starts, _ = _windows(count, lambda i: ith_cleared(i, t))
 
-    def body(lo: int, hi: int):
-        p1 = indices(lo, hi)
+    def body(w: int):
+        p1 = tpl + starts[w]
         p1 = p1[(p1 & cmask) == cmask]
         if p1.size:
-            _update_pairs(amps, p1, stride, mat)
+            _update_pairs(amps, p1, p1 + stride, mat)
 
     return _run_blocks(count, threads, pool, body)
 
@@ -277,24 +316,27 @@ def optimized_apply(
     Each of the 2**(n - n_c - 1) reduced indices is mapped to its global
     iteration index by ``reduced_to_global``, and the pair update runs
     unconditionally: every scheduled iteration does useful work. The mapping
-    runs once per gate on one block's worth of reduced indices, and once more
-    per block on the start of its window; the final state is bit-identical
-    to ``baseline_apply``.
+    runs once per gate, on the start of every window and on one window's
+    bits, which give the strides of two views of the state per window (see
+    ``_pair_lattice``); the final state is bit-identical to
+    ``baseline_apply``.
 
-    Returns the number of iterations executed, counted from the blocks run.
+    Returns the number of iterations executed, counted from the windows run.
     """
     count = iteration_count(Strategy.OPTIMIZED, state.num_qubits, gate)
     t = gate.target
-    stride = 1 << t
     controls = gate.controls
     mat = _matrix_scalars(gate.matrix, state.amplitudes.dtype)
-    amps = state.amplitudes
-    indices = _block_indices(
-        count, lambda i: ith_cleared(reduced_to_global(i, t, controls), t)
-    )
 
-    def body(lo: int, hi: int):
-        _update_pairs(amps, indices(lo, hi), stride, mat)
+    def p1_of(i):
+        return ith_cleared(reduced_to_global(i, t, controls), t)
+
+    starts, steps = _windows(count, p1_of)
+    lattice = _pair_lattice(state.amplitudes, 1 << t, steps)
+
+    def body(w: int):
+        s = starts[w]
+        _update_pairs(lattice, (s, 0), (s, 1), mat)
 
     return _run_blocks(count, threads, pool, body)
 

@@ -292,3 +292,10 @@ class TestTopIndices:
     def test_ties_at_the_kth_place_keep_smaller_indices(self, k):
         probs = np.array([0.1, 0.3, 0.1, 0.3, 0.2, 0.1])
         np.testing.assert_array_equal(top_indices(probs, k), self.lexsort_order(probs, k))
+
+    @pytest.mark.parametrize("k", [1, 4, 9, 30, 37])
+    def test_tie_scan_across_chunks(self, monkeypatch, k):
+        # 4-probability chunks: ties at the k-th place span several chunks
+        monkeypatch.setattr(svsched.cli, "_TIE_SCAN", 4)
+        probs = np.random.default_rng(k).choice([0.0, 0.1, 0.2], size=37)
+        np.testing.assert_array_equal(top_indices(probs, k), self.lexsort_order(probs, k))

@@ -23,10 +23,12 @@ from svsched.sched import _matrix_scalars, _update_pairs
 from conftest import basis_state
 
 
-def update_one_pair(state, p1, p2, matrix):
-    """Update the one pair (p1, p2) through the kernels' executed pair update."""
+def update_one_pair(state, p1, p2, matrix, view=False):
+    """Update the one pair (p1, p2) through the kernels' executed pair update,
+    selected by index arrays (a gather) or, with ``view``, by basic slices."""
     amps = state.amplitudes
-    _update_pairs(amps, np.array([p1]), p2 - p1, _matrix_scalars(matrix, amps.dtype))
+    k1, k2 = (slice(p1, p1 + 1), slice(p2, p2 + 1)) if view else ([p1], [p2])
+    _update_pairs(amps, k1, k2, _matrix_scalars(matrix, amps.dtype))
 
 
 class TestNewState:
@@ -181,11 +183,12 @@ class TestApplyPairUpdate:
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         amps /= np.linalg.norm(amps)
         for matrix in (gate_h(), gate_x()):  # the general update and the swap
-            state = StateVector(4, amps.copy())
-            update_one_pair(state, 3, 11, matrix)
-            changed = np.nonzero(state.amplitudes != amps)[0]
-            assert set(changed) <= {3, 11}
-            assert len(changed) == 2
+            for view in (False, True):
+                state = StateVector(4, amps.copy())
+                update_one_pair(state, 3, 11, matrix, view)
+                changed = np.nonzero(state.amplitudes != amps)[0]
+                assert set(changed) <= {3, 11}
+                assert len(changed) == 2
 
     def test_norm_preserved_per_pair(self, rng):
         from svsched.verify import random_gate_matrix, random_state

@@ -1,10 +1,15 @@
 import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 from svsched import (
+    Circuit,
     GateOp,
     StateVector,
     Strategy,
@@ -17,6 +22,7 @@ from svsched import (
     gate_h,
     gate_x,
     gen_qft,
+    gen_squaring,
     gen_streaming,
     iteration_count,
     ith_cleared,
@@ -361,9 +367,10 @@ class TestBlocks:
     def test_circuit_threads_are_bit_identical(
         self, rng, monkeypatch, circuit, dtype, threads
     ):
-        # enough CPUs that 3 workers split 2**17 iterations off block boundaries
+        # enough CPUs that 3 workers split the 32 windows of 2**17 iterations
+        # into ranges of different sizes
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert (1 << 17) // 3 % _BLOCK
+        assert (1 << 17) // _BLOCK % 3
         n = circuit.num_qubits
         state = StateVector(n, random_state(rng, n).amplitudes.astype(dtype))
         ref = state.copy()
@@ -372,17 +379,159 @@ class TestBlocks:
         assert np.array_equal(state.amplitudes, ref.amplitudes)
 
 
-def record_pair_indices(monkeypatch) -> list:
-    """Copies of every index array the kernels pass to the pair update."""
-    seen = []
-    update = sched._update_pairs
+def strided_reference(amps, n, gate):
+    """Independent reference for one gate: the state as an n-axis array,
+    the control axes fixed at 1 and the target axis updated. It runs no
+    mapping, and it updates contiguous copies, as the kernels do."""
+    psi = amps.reshape((2,) * n)  # qubit q is axis n - 1 - q
+    sel = [slice(None)] * n
+    for c in gate.controls:
+        sel[n - 1 - c] = 1
+    sel0, sel1 = list(sel), list(sel)
+    sel0[n - 1 - gate.target], sel1[n - 1 - gate.target] = 0, 1
+    x, y = psi[tuple(sel0)].copy(), psi[tuple(sel1)].copy()
+    m = gate.matrix
+    a, b, c, d = (amps.dtype.type(v) for v in (m.a, m.b, m.c, m.d))
+    psi[tuple(sel0)] = a * x + b * y
+    psi[tuple(sel1)] = c * x + d * y
 
-    def spy(amps, p1, stride, mat):
-        seen.append(p1.copy())
-        update(amps, p1, stride, mat)
 
-    monkeypatch.setattr(sched, "_update_pairs", spy)
-    return seen
+def random_gate(rng, n) -> GateOp:
+    """A random matrix or an x, on a random target with 0-4 random controls."""
+    t = int(rng.integers(n))
+    others = [q for q in range(n) if q != t]
+    n_c = int(rng.integers(0, min(4, n - 1) + 1))
+    controls = rng.choice(others, size=n_c, replace=False)
+    matrix = gate_x() if rng.integers(2) else random_gate_matrix(rng)
+    return GateOp(matrix, t, tuple(int(c) for c in controls))
+
+
+class TestStridedReference:
+    """A second oracle for registers the dense one cannot hold (it stops at
+    12 qubits). On states with no zero component the general update of an
+    x gives the swap's bytes, so every comparison is bit for bit."""
+
+    def test_reference_matches_dense_oracle(self, rng):
+        for n, t, controls in all_geometries(2, 6):
+            gate = GateOp(random_gate_matrix(rng), t, controls)
+            state = random_state(rng, n)
+            expected = dense_apply(gate_to_dense(gate, n), state).amplitudes
+            strided_reference(state.amplitudes, n, gate)
+            np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize(
+        "circuit",
+        [gen_streaming(20), gen_qft(16), gen_squaring(5)],
+        ids=["stream20", "qft16", "sq5"],
+    )
+    def test_circuits_are_bit_identical(self, rng, circuit, strategy, dtype):
+        n = circuit.num_qubits
+        state = StateVector(n, random_state(rng, n).amplitudes.astype(dtype))
+        want = state.amplitudes.copy()
+        for gate in circuit.gates:
+            strided_reference(want, n, gate)
+        apply_circuit(state, circuit, strategy)
+        assert state.amplitudes.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_random_gates_are_bit_identical(self, rng, dtype):
+        for _ in range(16):
+            n = int(rng.integers(14, 19))
+            gate = random_gate(rng, n)
+            amps = random_state(rng, n).amplitudes.astype(dtype)
+            want = amps.copy()
+            strided_reference(want, n, gate)
+            for strategy in Strategy:
+                state = StateVector(n, amps.copy())
+                apply_gate(state, gate, strategy)
+                assert state.amplitudes.tobytes() == want.tobytes(), (n, gate, strategy)
+
+
+class TestStridedAndThreadedStates:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize(
+        "circuit", [gen_qft(12), gen_streaming(12)], ids=["qft12", "stream12"]
+    )
+    def test_non_contiguous_state_gives_the_same_bytes(
+        self, rng, monkeypatch, circuit, strategy, threads
+    ):
+        # 64-iteration windows and chunks: 2 workers on most gates
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sched, "_BLOCK", 64)
+        monkeypatch.setattr(sched, "_MIN_CHUNK", 64)
+        n = circuit.num_qubits
+        amps = random_state(rng, n).amplitudes
+        buf = np.zeros(2 << n, dtype=amps.dtype)
+        buf[::2] = amps
+        strided = StateVector(n, buf[::2])
+        assert not strided.amplitudes.flags.c_contiguous
+        dense = StateVector(n, amps.copy())
+        apply_circuit(strided, circuit, strategy, threads=threads)
+        apply_circuit(dense, circuit, strategy, threads=threads)
+        assert strided.amplitudes.tobytes() == dense.amplitudes.tobytes()
+        assert not buf[1::2].any()
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_random_circuits_across_threads(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        n = data.draw(st.integers(2, 9), label="n")
+        size = data.draw(st.integers(1, 6), label="gates")
+        threads = data.draw(st.sampled_from([1, 2, 3]), label="threads")
+        dtype = data.draw(st.sampled_from([np.complex128, np.complex64]), label="dtype")
+        strategy = data.draw(st.sampled_from(list(Strategy)), label="strategy")
+        rng = np.random.default_rng(seed)
+        circuit = Circuit(n, [random_gate(rng, n) for _ in range(size)])
+        amps = random_state(rng, n).amplitudes.astype(dtype)
+        with pytest.MonkeyPatch.context() as mp:
+            # 4-iteration windows and chunks, so up to 3 workers split gates
+            mp.setattr(os, "cpu_count", lambda: 4)
+            mp.setattr(sched, "_BLOCK", 4)
+            mp.setattr(sched, "_MIN_CHUNK", 4)
+            want, got = StateVector(n, amps.copy()), StateVector(n, amps.copy())
+            apply_circuit(want, circuit, Strategy.BASELINE)
+            apply_circuit(got, circuit, strategy, threads=threads)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+class PairRecorder:
+    """Records, at the pair update, the basis indices of both elements of
+    every pair the kernels update on ``amps``, one entry per window run.
+
+    A kernel selects the pairs of a window from an array ``arr`` by index
+    arrays (the baseline, on the state itself) or by basic indices into a
+    strided view of the state (the optimized kernel). Either way the same
+    key on ``arr``'s data offset and strides, laid over ``arange`` instead
+    of the amplitudes, gives the basis indices.
+    """
+
+    def __init__(self, monkeypatch):
+        self.amps = None
+        self.seen = []  # (first indices, second indices) per update
+        update = sched._update_pairs
+
+        def spy(arr, k1, k2, mat):
+            self.seen.append((self.indices(arr, k1), self.indices(arr, k2)))
+            update(arr, k1, k2, mat)
+
+        monkeypatch.setattr(sched, "_update_pairs", spy)
+
+    def indices(self, arr, key) -> np.ndarray:
+        es = self.amps.strides[0]
+        offset = arr.__array_interface__["data"][0] - self.amps.__array_interface__["data"][0]
+        assert offset % es == 0 and all(st % es == 0 for st in arr.strides)
+        ids = np.arange(self.amps.shape[0], dtype=np.int64)[offset // es :]
+        lay = as_strided(ids, arr.shape, [st // es * ids.itemsize for st in arr.strides])
+        return np.array(lay[key]).ravel()
+
+    def first_indices(self, stride) -> np.ndarray:
+        """The first pair elements in update order; checks every partner."""
+        for p1, p2 in self.seen:
+            assert np.array_equal(p2, p1 + stride)
+        return np.concatenate([p1 for p1, _ in self.seen] or [np.empty(0, np.int64)])
 
 
 def expected_pair_indices(strategy, n, t, controls) -> np.ndarray:
@@ -401,29 +550,54 @@ class TestExecutedIndices:
     def test_every_geometry_runs_its_pairs_once(self, monkeypatch, strategy):
         # 8-iteration blocks: every gate with n >= 5 runs several windows
         monkeypatch.setattr(sched, "_BLOCK", 8)
-        seen = record_pair_indices(monkeypatch)
+        rec = PairRecorder(monkeypatch)
         for n, t, controls in all_geometries(2, 8):
-            seen.clear()
+            rec.seen.clear()
+            state = new_state(n)
+            rec.amps = state.amplitudes
             gate = GateOp(gate_h(), t, controls)
-            count = apply_gate(new_state(n), gate, strategy)
+            count = apply_gate(state, gate, strategy)
             assert count == iteration_count(strategy, n, gate)
-            got = np.concatenate(seen) if seen else np.empty(0, dtype=np.int64)
+            got = rec.first_indices(1 << t)
             want = expected_pair_indices(strategy, n, t, controls)
             assert np.array_equal(got, want), (n, t, controls)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
-    def test_threaded_windows_off_worker_bounds(self, monkeypatch, strategy):
-        # 3 workers split 2**17 (baseline) or 2**15 (optimized) iterations
-        # off block boundaries, so workers start and end inside windows
+    def test_threaded_workers_run_whole_windows(self, monkeypatch, strategy):
+        # 3 workers split the 32 (baseline) or 8 (optimized) windows of the
+        # gate; 3 divides neither count, so the ranges differ in size
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(sched, "_MIN_CHUNK", _BLOCK)
-        seen = record_pair_indices(monkeypatch)
+        rec = PairRecorder(monkeypatch)
+        submitted, ran = [], []
+        run_blocks = sched._run_blocks
+
+        def spy_run(count, threads, pool, body):
+            def traced(w):
+                ran.append(w)
+                body(w)
+
+            return run_blocks(count, threads, pool, traced)
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(args)  # a worker's range of windows
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(sched, "_run_blocks", spy_run)
         n, t, controls = 18, 9, (2, 14)
         gate = GateOp(gate_h(), t, controls)
         count = iteration_count(strategy, n, gate)
-        assert _worker_count(count, 3) == 3 and count // 3 % _BLOCK
-        assert apply_gate(new_state(n), gate, strategy, threads=3) == count
-        got = np.sort(np.concatenate(seen))
+        windows = count // _BLOCK
+        assert _worker_count(count, 3) == 3 and windows % 3
+        state = new_state(n)
+        rec.amps = state.amplitudes
+        with Pool(max_workers=3) as pool:
+            assert apply_gate(state, gate, strategy, threads=3, pool=pool) == count
+        bounds = [windows * k // 3 for k in range(4)]
+        assert submitted == list(zip(bounds, bounds[1:]))
+        assert sorted(ran) == list(range(windows))
+        got = np.sort(rec.first_indices(1 << t))
         assert np.array_equal(got, expected_pair_indices(strategy, n, t, controls))
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
