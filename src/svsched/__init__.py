@@ -4,7 +4,6 @@ pair, and an optimized scheduler that enumerates only control-satisfying pairs
 through a reduced-to-global iteration index mapping."""
 
 from .core import (
-    Amplitude,
     CapacityError,
     Circuit,
     GateMatrix,
@@ -20,7 +19,6 @@ from .core import (
     norm_sq,
 )
 from .sched import (
-    SkipStep,
     Strategy,
     active_set_oracle,
     adjusted_control,
@@ -33,7 +31,6 @@ from .sched import (
     optimized_apply,
     pair_indices,
     reduced_to_global,
-    skip_steps,
 )
 from .circuits import (
     CircuitParseError,

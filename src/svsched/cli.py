@@ -27,7 +27,7 @@ from .circuits import (
     parse_circuit,
     serialize_circuit,
 )
-from .core import MAX_QUBITS, CapacityError, Circuit, new_state, norm_sq
+from .core import MAX_QUBITS, PRECISION_DTYPES, CapacityError, Circuit, new_state, norm_sq
 from .sched import Strategy, apply_circuit
 from .verify import verify_equivalence, verify_mappings
 
@@ -43,6 +43,17 @@ THREADS_ENV_VAR = "SVSCHED_THREADS"
 
 # Probabilities per chunk of top_indices' tie scan (512 KiB of float64).
 _TIE_SCAN = 1 << 16
+
+# Amplitudes per chunk of top_amplitudes' pass (1 MiB of complex128).
+_CHUNK = 1 << 16
+
+# Working memory of run beyond the state, for the pre-flight check. Traced
+# with tracemalloc: top_amplitudes peaks at 16 bytes per chunk amplitude for
+# a small k and at 88 when k fills the chunk (2k candidates are merged); one
+# worker's window temporaries peak at 424 KiB (a double-precision h under
+# the baseline).
+_CHUNK_BYTES = 96
+_WORKER_BYTES = 1 << 20
 
 _GENERATORS = {"qft": gen_qft, "stream": gen_streaming, "sq": gen_squaring}
 
@@ -100,6 +111,68 @@ def top_indices(probs: np.ndarray, k: int) -> np.ndarray:
     return chosen[np.lexsort((chosen, -probs[chosen]))]
 
 
+def top_amplitudes(amps: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the ``k`` most probable amplitudes and their probabilities
+    ``abs(amp) ** 2``, in top_indices' order, from one pass over ``amps``.
+
+    Reads the state in chunks of ``max(_CHUNK, k)`` amplitudes and keeps at
+    most k candidates, so its working memory is O(chunk), not O(state). Once
+    k candidates are held, a chunk offers only probabilities strictly above
+    the k-th: a later tie loses to the earlier index it would follow.
+    """
+    k = min(k, amps.size)
+    chunk = max(_CHUNK, k)
+    idx = np.empty(0, dtype=np.intp)
+    probs = np.empty(0, dtype=amps.real.dtype)
+    if k == 0:
+        return idx, probs
+    for lo in range(0, amps.size, chunk):
+        p = np.abs(amps[lo : lo + chunk]) ** 2
+        new = top_indices(p, k) if idx.size < k else np.flatnonzero(p > probs[-1])
+        if new.size == 0:
+            continue
+        # Candidates stay in top_indices' order, and every new index is larger
+        # than every held one, so equal probabilities keep index order here too.
+        idx = np.concatenate((idx, new + lo))
+        probs = np.concatenate((probs, p[new]))
+        keep = top_indices(probs, k)
+        idx, probs = idx[keep], probs[keep]
+    return idx, probs
+
+
+def _mem_available(path: str = "/proc/meminfo") -> int | None:
+    """The kernel's estimate of memory available without swapping, in bytes,
+    or None when it cannot be read."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_memory(num_qubits: int, precision: str, top_k: int, threads: int) -> None:
+    """Raise CapacityError unless the state of a ``run``, its output chunk and
+    every worker's window temporaries fit in MemAvailable; skipped when that
+    cannot be read, and for registers above the cap, which new_state rejects."""
+    if num_qubits > MAX_QUBITS:
+        return
+    state = np.dtype(PRECISION_DTYPES[precision]).itemsize << num_qubits
+    needed = (
+        state
+        + max(_CHUNK, min(top_k, 1 << num_qubits)) * _CHUNK_BYTES
+        + min(threads, os.cpu_count() or 1) * _WORKER_BYTES
+    )
+    available = _mem_available()
+    if available is not None and needed > available:
+        raise CapacityError(
+            f"run needs {needed} bytes ({state} of state), "
+            f"{available} bytes are available"
+        )
+
+
 def load_circuit(source: str) -> tuple[str, Circuit]:
     """Resolve a generator spec token or a circuit file path to (name, circuit)."""
     head, sep, tail = source.partition(":")
@@ -151,6 +224,7 @@ def cmd_run(args) -> int:
         raise UsageError("--top-k must be >= 0")
     name, circuit = load_circuit(args.source)
     strategy = Strategy(args.scheduler)
+    _check_memory(circuit.num_qubits, args.precision, args.top_k, args.threads)
     state = new_state(circuit.num_qubits, args.precision)
 
     if args.input is not None:
@@ -176,17 +250,19 @@ def cmd_run(args) -> int:
     print(f"iterations executed: {executed}")
     print(f"norm: {norm_sq(state):.9f}")
 
-    probs = np.abs(state.amplitudes) ** 2
-    top = top_indices(probs, args.top_k)
-    print(f"top {len(top)} amplitudes:")
-    for idx in top:
+    # One pass serves both outputs: the first candidate is the smallest index
+    # among the maxima, the dominant basis state.
+    top, probs = top_amplitudes(state.amplitudes, max(args.top_k, 1))
+    rows = top[: args.top_k]
+    print(f"top {rows.size} amplitudes:")
+    for idx, p in zip(rows, probs):
         amp = state.amplitudes[idx]
         print(
             f"  {_basis_label(int(idx), circuit.num_qubits)}  "
-            f"{amp.real:+.6f}{amp.imag:+.6f}i  p={probs[idx]:.6f}"
+            f"{amp.real:+.6f}{amp.imag:+.6f}i  p={p:.6f}"
         )
 
-    dominant = int(np.argmax(probs))  # the smallest index among the maxima
+    dominant = int(top[0])
     k = _squaring_width(circuit.num_qubits)
     if args.input is not None and k is not None:
         in_reg = dominant & ((1 << k) - 1)

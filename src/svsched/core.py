@@ -16,10 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: A basis-state coefficient. Stored as complex128 ("double") by default;
-#: a complex64 ("single") storage mode packs each amplitude into two 32-bit floats.
-Amplitude = complex
-
 #: Hard register-size cap. 2**30 amplitudes is 16 GiB in double precision
 #: (8 GiB single); available RAM is the practical bound below that.
 MAX_QUBITS = 30
@@ -58,9 +54,6 @@ class GateMatrix:
             and abs(abs(c) ** 2 + abs(d) ** 2 - 1.0) <= tol
             and abs(a * c.conjugate() + b * d.conjugate()) <= tol
         )
-
-    def as_array(self, dtype=np.complex128) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=dtype)
 
 
 @dataclass(frozen=True)

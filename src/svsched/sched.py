@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
@@ -82,18 +81,6 @@ def adjusted_control(c: int, t: int) -> int:
     return c - 1 if c > t else c
 
 
-@dataclass(frozen=True)
-class SkipStep:
-    """One control's contribution to the reduced->global mapping."""
-
-    adjusted_control: int  # the skip interval is 2**adjusted_control
-
-
-def skip_steps(target: int, controls: tuple[int, ...]) -> tuple[SkipStep, ...]:
-    """Precompute each control's adjusted index, in order."""
-    return tuple(SkipStep(adjusted_control(c, target)) for c in controls)
-
-
 def reduced_to_global(i_r, target: int, controls: tuple[int, ...]):
     """Map a reduced iteration index to its global iteration index.
 
@@ -111,8 +98,8 @@ def reduced_to_global(i_r, target: int, controls: tuple[int, ...]):
     if any(a >= b for a, b in zip(controls, controls[1:])):
         raise ValueError(f"controls must be strictly ascending, got {controls}")
     i = i_r
-    for step in skip_steps(target, tuple(controls)):
-        c_adj = step.adjusted_control
+    for c in controls:
+        c_adj = adjusted_control(c, target)
         i = i + (((i >> c_adj) + 1) << c_adj)
     return i
 

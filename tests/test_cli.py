@@ -1,10 +1,33 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import svsched.cli
 import svsched.verify
-from svsched import Circuit, apply_circuit, named_gate, new_state, parse_circuit
-from svsched.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, top_indices
+from svsched import (
+    CapacityError,
+    Circuit,
+    Strategy,
+    apply_circuit,
+    apply_gate,
+    named_gate,
+    new_state,
+    parse_circuit,
+)
+from svsched.cli import (
+    EXIT_CAPACITY,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    main,
+    top_amplitudes,
+    top_indices,
+)
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +127,98 @@ class TestRun:
         assert code == EXIT_CAPACITY
         assert "16" in err
 
+    def test_memory_check_refuses_before_allocating(self, capsys, monkeypatch):
+        def no_state(num_qubits, precision="double"):
+            raise AssertionError("new_state called")
+
+        monkeypatch.setattr(svsched.cli, "new_state", no_state)
+        monkeypatch.setattr(svsched.cli, "_mem_available", lambda: 123456)
+        code, out, err = run_cli(capsys, "run", "qft:20", "--threads", "1")
+        assert code == EXIT_CAPACITY
+        assert out == ""
+        # 16 MiB of state, 6 MiB for the output chunk, 1 MiB for one worker
+        needed = (16 << 20) + (6 << 20) + (1 << 20)
+        assert err == (
+            f"capacity error: run needs {needed} bytes ({16 << 20} of state), "
+            "123456 bytes are available\n"
+        )
+
+    @pytest.mark.parametrize(
+        "n, precision, top_k, threads, needed",
+        [
+            (10, "double", 8, 1, (16 << 10) + (6 << 20) + (1 << 20)),
+            (10, "single", 8, 3, (8 << 10) + (6 << 20) + (3 << 20)),
+            # k is capped at the register; a larger k widens the chunk
+            (10, "double", 70000, 1, (16 << 10) + (6 << 20) + (1 << 20)),
+            (17, "double", 70000, 1, (16 << 17) + 70000 * 96 + (1 << 20)),
+            # never more workers than CPUs
+            (17, "single", 0, 8, (8 << 17) + (6 << 20) + (4 << 20)),
+        ],
+    )
+    def test_memory_check_counts_state_chunk_and_workers(
+        self, monkeypatch, n, precision, top_k, threads, needed
+    ):
+        monkeypatch.setattr(svsched.cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(svsched.cli, "_mem_available", lambda: needed)
+        svsched.cli._check_memory(n, precision, top_k, threads)
+        monkeypatch.setattr(svsched.cli, "_mem_available", lambda: needed - 1)
+        with pytest.raises(CapacityError, match=f"run needs {needed} bytes"):
+            svsched.cli._check_memory(n, precision, top_k, threads)
+
+    def test_memory_check_skipped_when_unreadable(self, capsys, monkeypatch):
+        monkeypatch.setattr(svsched.cli, "_mem_available", lambda: None)
+        assert run_cli(capsys, "run", "qft:4")[0] == EXIT_OK
+
+    def test_memory_check_leaves_the_cap_to_new_state(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(svsched.cli, "_mem_available", lambda: 0)
+        path = tmp_path / "big.qc"
+        path.write_text("qubits 31\nh 0\n")
+        code, _, err = run_cli(capsys, "run", str(path))
+        assert code == EXIT_CAPACITY
+        assert "outside supported range [1, 30]" in err
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("MemTotal:  8000 kB\nMemAvailable:    7756688 kB\n", 7756688 * 1024),
+            ("MemTotal:  8000 kB\n", None),
+            ("MemAvailable: lots\n", None),
+            (None, None),
+        ],
+    )
+    def test_mem_available_reader(self, tmp_path, text, expected):
+        path = tmp_path / "meminfo"
+        if text is not None:
+            path.write_text(text)
+        assert svsched.cli._mem_available(str(path)) == expected
+
+    def test_working_set_figures_bound_the_traced_peaks(self):
+        # the pre-flight figures must stay above what the code allocates
+        # beyond the state: one worker's gate, and the output pass per
+        # chunk amplitude, with k small and with k filling the chunk
+        rng = np.random.default_rng(7)
+        for precision in ("double", "single"):
+            state = new_state(18, precision)
+            apply_circuit(state, Circuit(18, [named_gate("h", q) for q in range(18)]))
+            for gate in (named_gate("h", 9), named_gate("x", 9, (0, 3))):
+                for strategy in Strategy:
+                    tracemalloc.start()
+                    try:
+                        apply_gate(state, gate, strategy, threads=1)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert peak <= svsched.cli._WORKER_BYTES
+            amps = rng.standard_normal(1 << 18).astype(state.amplitudes.dtype)
+            for k in (8, 1 << 16):
+                tracemalloc.start()
+                try:
+                    top_amplitudes(amps, k)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= max(1 << 16, k) * svsched.cli._CHUNK_BYTES
+
     def test_schedulers_agree_on_state_summary(self, capsys):
         _, base, _ = run_cli(capsys, "run", "qft:6", "--scheduler", "baseline")
         _, opt, _ = run_cli(capsys, "run", "qft:6", "--scheduler", "optimized")
@@ -113,6 +228,39 @@ class TestRun:
             return [l for l in text.split("\n") if not l.startswith(("iterations", "scheduler"))]
 
         assert summary(base) == summary(opt)
+
+
+GOLDEN_RUNS = json.loads((Path(__file__).parent / "golden" / "run.json").read_text())
+
+
+class TestRunGoldenBytes:
+    """``run``'s exact stdout, stderr, exit code and ``--dump`` bytes, frozen
+    from an earlier implementation: ties, exact zeros of either sign, top-k
+    of 0, 1, 64 and more than 2**n, both precisions, registers larger than
+    one output chunk, and failing commands. A change to any of these bytes is
+    a change of the CLI's output and must be made deliberately, never by
+    re-capturing this file.
+
+    A ``source`` that starts with ``qubits`` is circuit text, written to a
+    file; ``--dump`` is followed by a path to a fresh file.
+    """
+
+    @pytest.mark.parametrize("case", GOLDEN_RUNS, ids=[c["name"] for c in GOLDEN_RUNS])
+    def test_run_bytes(self, capsys, tmp_path, case):
+        source = case["source"]
+        if source.startswith("qubits"):
+            path = tmp_path / "circuit.qc"
+            path.write_text(source)
+            source = str(path)
+        argv = ["run", source, *case["args"]]
+        if "--dump" in argv:
+            argv.insert(argv.index("--dump") + 1, str(tmp_path / "dump.txt"))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (
+            case["exit"], "".join(case["stdout"]), "".join(case["stderr"])
+        )
+        if case["dump"] is not None:
+            assert (tmp_path / "dump.txt").read_text() == "".join(case["dump"])
 
 
 class TestVerify:
@@ -299,3 +447,41 @@ class TestTopIndices:
         monkeypatch.setattr(svsched.cli, "_TIE_SCAN", 4)
         probs = np.random.default_rng(k).choice([0.0, 0.1, 0.2], size=37)
         np.testing.assert_array_equal(top_indices(probs, k), self.lexsort_order(probs, k))
+
+
+class TestTopAmplitudes:
+    """top_amplitudes must select exactly what top_indices selects on the
+    whole probability array, with the same probability bytes."""
+
+    @pytest.mark.parametrize("chunk", [4, 8])
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_top_indices_on_the_whole_state(self, chunk, data):
+        dtype = data.draw(st.sampled_from([np.complex128, np.complex64]), label="dtype")
+        parts = st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.25, 1.0, 1e-3])
+        values = data.draw(
+            st.lists(st.tuples(parts, parts), min_size=1, max_size=40), label="values"
+        )
+        amps = np.array([complex(re, im) for re, im in values], dtype=dtype)
+        k = data.draw(st.integers(0, amps.size + 3), label="k")
+        probs = np.abs(amps) ** 2
+        want = top_indices(probs, k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(svsched.cli, "_CHUNK", chunk)
+            idx, got = top_amplitudes(amps, k)
+        np.testing.assert_array_equal(idx, want)
+        assert got.dtype == probs.dtype
+        assert got.tobytes() == probs[want].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_chunked_probabilities_match_the_whole_array(self, dtype):
+        # abs()**2 runs vectorised loops with scalar tails; chunking must not
+        # change a single bit of any probability
+        rng = np.random.default_rng(18)
+        n = 1 << 18
+        amps = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(dtype)
+        chunk = svsched.cli._CHUNK
+        chunked = np.concatenate(
+            [np.abs(amps[lo : lo + chunk]) ** 2 for lo in range(0, n, chunk)]
+        )
+        assert chunked.tobytes() == (np.abs(amps) ** 2).tobytes()

@@ -31,7 +31,6 @@ from svsched import (
     optimized_apply,
     pair_indices,
     reduced_to_global,
-    skip_steps,
 )
 from svsched import sched
 from svsched.oracle import dense_apply, gate_to_dense
@@ -127,8 +126,7 @@ class TestAdjustedControl:
     def test_skip_steps_are_powers_of_two(self):
         # each control skips 2**adjusted_control iterations; controls above
         # the target shift down by one
-        steps = skip_steps(2, (0, 1, 3, 4))
-        assert [step.adjusted_control for step in steps] == [0, 1, 2, 3]
+        assert [1 << adjusted_control(c, 2) for c in (0, 1, 3, 4)] == [1, 2, 4, 8]
 
 
 class TestReducedToGlobal:
