@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .core import Circuit, new_state
-from .sched import Strategy, apply_gate, iteration_count, thread_pool
+from .sched import Strategy, apply_gate, iteration_count
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -120,22 +120,21 @@ def run_bench(
 
     totals = []
     gate_times: list[list[float]] = [[] for _ in circuit.gates]
-    with thread_pool(threads) as pool:
-        for _ in range(reps):
-            state = new_state(circuit.num_qubits, precision)
-            executed_total = 0
-            t_start = time.perf_counter()
-            for idx, gate in enumerate(circuit.gates):
-                g_start = time.perf_counter()
-                executed = apply_gate(state, gate, strategy, threads=threads, pool=pool)
-                gate_times[idx].append(time.perf_counter() - g_start)
-                if executed != planned[idx]:
-                    raise RuntimeError(
-                        f"gate {idx} executed {executed} iterations off its plan "
-                        f"of {planned[idx]}"
-                    )
-                executed_total += executed
-            totals.append(time.perf_counter() - t_start)
+    for _ in range(reps):
+        state = new_state(circuit.num_qubits, precision)
+        executed_total = 0
+        t_start = time.perf_counter()
+        for idx, gate in enumerate(circuit.gates):
+            g_start = time.perf_counter()
+            executed = apply_gate(state, gate, strategy, threads=threads)
+            gate_times[idx].append(time.perf_counter() - g_start)
+            if executed != planned[idx]:
+                raise RuntimeError(
+                    f"gate {idx} executed {executed} iterations off its plan "
+                    f"of {planned[idx]}"
+                )
+            executed_total += executed
+        totals.append(time.perf_counter() - t_start)
 
     total = statistics.median(totals)
     return BenchReport(
@@ -158,10 +157,6 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-def _sorted_reports(reports: list[BenchReport]) -> list[BenchReport]:
-    return sorted(reports, key=lambda r: (r.circuit_name, r.scheduler))
-
-
 def _row(report: BenchReport) -> dict:
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -182,7 +177,8 @@ def emit_report(reports: list[BenchReport], fmt: str = "csv") -> str:
     carry 6 significant digits."""
     if not reports:
         raise ValueError("no reports to emit")
-    rows = [_row(r) for r in _sorted_reports(reports)]
+    reports = sorted(reports, key=lambda r: (r.circuit_name, r.scheduler))
+    rows = [_row(r) for r in reports]
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
@@ -190,7 +186,7 @@ def emit_report(reports: list[BenchReport], fmt: str = "csv") -> str:
         writer.writerows(rows)
         return out.getvalue()
     if fmt == "json":
-        for row, report in zip(rows, _sorted_reports(reports)):
+        for row, report in zip(rows, reports):
             if report.per_gate_times is not None:
                 row["per_gate_times"] = [_fmt(t) for t in report.per_gate_times]
         return json.dumps({"schema_version": REPORT_SCHEMA_VERSION, "reports": rows}, indent=2) + "\n"

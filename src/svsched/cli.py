@@ -41,9 +41,6 @@ DUMP_MAX_QUBITS = 16
 
 THREADS_ENV_VAR = "SVSCHED_THREADS"
 
-# Probabilities per chunk of top_indices' tie scan (512 KiB of float64).
-_TIE_SCAN = 1 << 16
-
 # Amplitudes per chunk of top_amplitudes' pass (1 MiB of complex128).
 _CHUNK = 1 << 16
 
@@ -97,17 +94,8 @@ def top_indices(probs: np.ndarray, k: int) -> np.ndarray:
     kth = -neg[k - 1]
     del neg
     above = np.flatnonzero(probs > kth)
-    # The smallest indices tied at the k-th place, scanned in bounded chunks
-    # up to the first k - above.size of them: a state can tie on all 2**n.
-    parts = [above]
-    need = k - above.size
-    for lo in range(0, probs.size, _TIE_SCAN):
-        if need == 0:
-            break
-        tied = np.flatnonzero(probs[lo : lo + _TIE_SCAN] == kth)[:need]
-        parts.append(tied + lo)
-        need -= tied.size
-    chosen = np.concatenate(parts)
+    tied = np.flatnonzero(probs == kth)[: k - above.size]
+    chosen = np.concatenate((above, tied))
     return chosen[np.lexsort((chosen, -probs[chosen]))]
 
 
@@ -286,6 +274,8 @@ def cmd_verify(args) -> int:
         raise UsageError("--n-max must be in [2, 8]")
     if args.cases < 0:
         raise UsageError("--cases must be >= 0")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     checked, mapping_misses = verify_mappings(args.n_max)
     print(f"mapping: checked {checked} geometries (n=2..{args.n_max})", end="")
     if mapping_misses:

@@ -25,15 +25,17 @@ arrays, a per-gate template plus the window's start. Each window's
 temporaries are freed before the next, so a gate's working memory is
 O(block) per thread whatever the register size. Windows within one gate
 write disjoint pairs and may run on several threads; gates are sequential.
+A gate that uses several workers runs them on one pool of at most CPU-count
+threads per process, made on the first threaded gate (``_pool``).
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor, wait
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -217,30 +219,25 @@ def _worker_count(count: int, threads: int) -> int:
     return min(threads, os.cpu_count() or 1, count // _MIN_CHUNK)
 
 
-@contextmanager
-def thread_pool(threads: int) -> Iterator[Executor | None]:
-    """A pool for a run of gates, or None when only one thread would run."""
-    workers = min(threads, os.cpu_count() or 1)
-    if workers <= 1:
-        yield None
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The process's pool for threaded gates, made on first use."""
+    return ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
 
 
-def _run_blocks(
-    count: int,
-    threads: int,
-    pool: Executor | None,
-    body: Callable[[int], None],
-) -> int:
+# A forked child inherits the cached pool but not its threads.
+os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _run_blocks(count: int, threads: int, body: Callable[[int], None]) -> int:
     """Run body(w) on every ``_BLOCK``-iteration window ``w`` of
     ``[0, count)``; returns the total size of the windows run.
 
-    ``count`` is a power of two, so the windows tile ``[0, count)``. They are
-    split into one contiguous range of whole windows per worker. Windows
-    write disjoint pairs, so any split yields a bit-identical state. Without
-    a ``pool``, a gate that uses several workers makes a pool for this call.
+    ``count`` is a power of two, so the windows tile ``[0, count)``. When
+    ``_worker_count`` gives several workers, the windows are split into one
+    contiguous range of whole windows per worker, run on ``_pool()``; the
+    call returns once every range has run. Windows write disjoint pairs, so
+    any split yields a bit-identical state.
     """
     window = min(count, _BLOCK)
 
@@ -253,17 +250,13 @@ def _run_blocks(
     workers = _worker_count(count, threads)
     if workers == 1:
         return walk(0, windows)
-    if pool is None:
-        with thread_pool(workers) as own:
-            return _run_blocks(count, workers, own, body)
     bounds = [windows * k // workers for k in range(workers + 1)]
-    futures = [pool.submit(walk, bounds[k], bounds[k + 1]) for k in range(workers)]
+    futures = [_pool().submit(walk, bounds[k], bounds[k + 1]) for k in range(workers)]
+    wait(futures)
     return sum(f.result() for f in futures)
 
 
-def baseline_apply(
-    state: StateVector, gate: GateOp, *, threads: int = 1, pool: Executor | None = None
-) -> int:
+def baseline_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> int:
     """Execute a gate by visiting all 2**(n-1) iterations and checking controls.
 
     Every iteration's pair is tested against the gate's control mask, so
@@ -292,12 +285,10 @@ def baseline_apply(
         if p1.size:
             _update_pairs(amps, p1, p1 + stride, mat)
 
-    return _run_blocks(count, threads, pool, body)
+    return _run_blocks(count, threads, body)
 
 
-def optimized_apply(
-    state: StateVector, gate: GateOp, *, threads: int = 1, pool: Executor | None = None
-) -> int:
+def optimized_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> int:
     """Execute a gate scheduling only the control-satisfying iterations.
 
     Each of the 2**(n - n_c - 1) reduced indices is mapped to its global
@@ -325,7 +316,7 @@ def optimized_apply(
         s = starts[w]
         _update_pairs(lattice, (s, 0), (s, 1), mat)
 
-    return _run_blocks(count, threads, pool, body)
+    return _run_blocks(count, threads, body)
 
 
 def apply_gate(
@@ -334,16 +325,11 @@ def apply_gate(
     strategy: Strategy = Strategy.OPTIMIZED,
     *,
     threads: int = 1,
-    pool: Executor | None = None,
 ) -> int:
-    """Execute one gate with the chosen strategy; returns iterations executed.
-
-    ``pool`` is a ``thread_pool`` shared by a run of gates; without one, a
-    gate that uses several threads makes its own.
-    """
+    """Execute one gate with the chosen strategy; returns iterations executed."""
     if strategy is Strategy.BASELINE:
-        return baseline_apply(state, gate, threads=threads, pool=pool)
-    return optimized_apply(state, gate, threads=threads, pool=pool)
+        return baseline_apply(state, gate, threads=threads)
+    return optimized_apply(state, gate, threads=threads)
 
 
 def apply_circuit(
@@ -355,7 +341,6 @@ def apply_circuit(
 ) -> int:
     """Execute a circuit gate by gate (gates are strictly sequential).
 
-    With ``threads > 1`` one thread pool serves every gate of the run.
     Returns the total number of iterations executed across all gates.
     """
     if circuit.num_qubits != state.num_qubits:
@@ -363,9 +348,8 @@ def apply_circuit(
             f"circuit is over {circuit.num_qubits} qubits, state over {state.num_qubits}"
         )
     executed = 0
-    with thread_pool(threads) as pool:
-        for gate in circuit.gates:
-            # Looked up as a module global on every gate, so a wrapper
-            # installed on sched.apply_gate sees each call.
-            executed += apply_gate(state, gate, strategy, threads=threads, pool=pool)
+    for gate in circuit.gates:
+        # Looked up as a module global on every gate, so a wrapper
+        # installed on sched.apply_gate sees each call.
+        executed += apply_gate(state, gate, strategy, threads=threads)
     return executed

@@ -195,7 +195,8 @@ class TestRun:
     def test_working_set_figures_bound_the_traced_peaks(self):
         # the pre-flight figures must stay above what the code allocates
         # beyond the state: one worker's gate, and the output pass per
-        # chunk amplitude, with k small and with k filling the chunk
+        # chunk amplitude, with k small and with k filling the chunk, on a
+        # random state and on one where every probability ties
         rng = np.random.default_rng(7)
         for precision in ("double", "single"):
             state = new_state(18, precision)
@@ -209,15 +210,18 @@ class TestRun:
                     finally:
                         tracemalloc.stop()
                     assert peak <= svsched.cli._WORKER_BYTES
-            amps = rng.standard_normal(1 << 18).astype(state.amplitudes.dtype)
-            for k in (8, 1 << 16):
-                tracemalloc.start()
-                try:
-                    top_amplitudes(amps, k)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak <= max(1 << 16, k) * svsched.cli._CHUNK_BYTES
+            dtype = state.amplitudes.dtype
+            random = rng.standard_normal(1 << 18).astype(dtype)
+            tied = np.full(1 << 18, 2**-9, dtype=dtype)  # every entry ties
+            for amps in (random, tied):
+                for k in (8, 1 << 16):
+                    tracemalloc.start()
+                    try:
+                        top_amplitudes(amps, k)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert peak <= max(1 << 16, k) * svsched.cli._CHUNK_BYTES
 
     def test_schedulers_agree_on_state_summary(self, capsys):
         _, base, _ = run_cli(capsys, "run", "qft:6", "--scheduler", "baseline")
@@ -297,6 +301,12 @@ class TestVerify:
     def test_bad_n_max(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--n-max", "12")
         assert code == EXIT_USAGE
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --seed must be >= 0\n"
 
 
 class TestBench:
@@ -442,9 +452,9 @@ class TestTopIndices:
         np.testing.assert_array_equal(top_indices(probs, k), self.lexsort_order(probs, k))
 
     @pytest.mark.parametrize("k", [1, 4, 9, 30, 37])
-    def test_tie_scan_across_chunks(self, monkeypatch, k):
-        # 4-probability chunks: ties at the k-th place span several chunks
-        monkeypatch.setattr(svsched.cli, "_TIE_SCAN", 4)
+    def test_tie_scan_across_chunks(self, k):
+        # three values over 37 entries: ties at the k-th place are spread
+        # over the whole array
         probs = np.random.default_rng(k).choice([0.0, 0.1, 0.2], size=37)
         np.testing.assert_array_equal(top_indices(probs, k), self.lexsort_order(probs, k))
 

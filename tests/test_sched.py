@@ -1,4 +1,7 @@
 import os
+import signal
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -329,6 +332,56 @@ class TestThreading:
         optimized_apply(b, gate, threads=threads)
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_gates_share_one_pool(self, monkeypatch, strategy):
+        # ten two-worker gates start the threads of one pool, not two each
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        sched._pool.cache_clear()
+        try:
+            state = new_state(18)
+            for _ in range(10):
+                apply_gate(state, GateOp(gate_h(), 9), strategy, threads=2)
+        finally:
+            sched._pool().shutdown()
+            sched._pool.cache_clear()
+        assert 0 < len(started) <= 2
+
+    # Python 3.12+ warns on any fork of a threaded process; here the fork
+    # of a process with pool threads is what is under test.
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+    def test_forked_child_runs_threaded_gates(self, monkeypatch):
+        # the child inherits the parent's pool object but none of its threads
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        gate = GateOp(gate_h(), 9)
+        apply_gate(new_state(18), gate, threads=2)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                state = new_state(18)
+                apply_gate(state, gate, threads=2)
+                code = 0 if abs(norm_sq(state) - 1) < 1e-12 else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 10
+        done, status = os.waitpid(pid, os.WNOHANG)
+        while not done and time.monotonic() < deadline:
+            time.sleep(0.01)
+            done, status = os.waitpid(pid, os.WNOHANG)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung on a threaded gate")
+        assert os.waitstatus_to_exitcode(status) == 0
+
 
 class TestBlocks:
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
@@ -570,12 +623,12 @@ class TestExecutedIndices:
         submitted, ran = [], []
         run_blocks = sched._run_blocks
 
-        def spy_run(count, threads, pool, body):
+        def spy_run(count, threads, body):
             def traced(w):
                 ran.append(w)
                 body(w)
 
-            return run_blocks(count, threads, pool, traced)
+            return run_blocks(count, threads, traced)
 
         class Pool(ThreadPoolExecutor):
             def submit(self, fn, *args):
@@ -591,7 +644,8 @@ class TestExecutedIndices:
         state = new_state(n)
         rec.amps = state.amplitudes
         with Pool(max_workers=3) as pool:
-            assert apply_gate(state, gate, strategy, threads=3, pool=pool) == count
+            monkeypatch.setattr(sched, "_pool", lambda: pool)
+            assert apply_gate(state, gate, strategy, threads=3) == count
         bounds = [windows * k // 3 for k in range(4)]
         assert submitted == list(zip(bounds, bounds[1:]))
         assert sorted(ran) == list(range(windows))
