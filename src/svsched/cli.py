@@ -48,7 +48,9 @@ _CHUNK = 1 << 16
 # with tracemalloc: top_amplitudes peaks at 16 bytes per chunk amplitude for
 # a small k and at 88 when k fills the chunk (2k candidates are merged); one
 # worker's window temporaries peak at 424 KiB (a double-precision h under
-# the baseline).
+# the baseline). A double-precision x on 20 qubits peaks at 132 KiB, both
+# halves of a window, whether it moves its pairs singly or in runs of 2**5
+# or 2**12 pairs.
 _CHUNK_BYTES = 96
 _WORKER_BYTES = 1 << 20
 
@@ -211,6 +213,11 @@ def cmd_run(args) -> int:
     if args.top_k < 0:
         raise UsageError("--top-k must be >= 0")
     name, circuit = load_circuit(args.source)
+    if args.dump and circuit.num_qubits > DUMP_MAX_QUBITS:
+        raise CapacityError(
+            f"state dump capped at {DUMP_MAX_QUBITS} qubits, circuit has "
+            f"{circuit.num_qubits}"
+        )
     strategy = Strategy(args.scheduler)
     _check_memory(circuit.num_qubits, args.precision, args.top_k, args.threads)
     state = new_state(circuit.num_qubits, args.precision)
@@ -258,11 +265,6 @@ def cmd_run(args) -> int:
         print(f"input register: {in_reg}, output register: {out_reg}")
 
     if args.dump:
-        if circuit.num_qubits > DUMP_MAX_QUBITS:
-            raise CapacityError(
-                f"state dump capped at {DUMP_MAX_QUBITS} qubits, circuit has "
-                f"{circuit.num_qubits}"
-            )
         with open(args.dump, "w", encoding="utf-8") as fh:
             for idx, amp in enumerate(state.amplitudes):
                 fh.write(f"{idx} {amp.real:.17g} {amp.imag:.17g}\n")

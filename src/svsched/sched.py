@@ -17,11 +17,16 @@ Two interchangeable strategies execute a gate:
 Both write each surviving amplitude exactly once per gate with the same
 pair update (``_update_pairs``), so their results are bit-identical. Both run
 a gate's iteration range through one block loop (``_run_blocks``) over
-windows of at most ``_BLOCK`` iterations, and map the start of every window
-once per gate (``_windows``). The optimized kernel updates a window through
-two strided views of the state, whose strides the mapping gives once per
-gate (``_pair_lattice``); the baseline gathers a window's pairs by index
-arrays, a per-gate template plus the window's start. Each window's
+windows of at most ``_BLOCK`` iterations, and take the start of every window
+from the gate's plan (``_plan``): the mapping of every reduced bit, run once
+per (register size, target, controls, window size, swap) and kept in a
+cache of at most 1,024 plans of O(n) ints each, which hold no state. The
+optimized kernel updates a window through two strided views of the state,
+whose strides the plan gives (``_pair_lattice``); a swap on a unit-stride
+state views each run of contiguous pairs below the gate's qubits as one
+wide element, so numpy copies runs instead of single amplitudes. The
+baseline gathers a window's pairs by index arrays, a per-gate template
+plus the window's start. Each window's
 temporaries are freed before the next, so a gate's working memory is
 O(block) per thread whatever the register size. Windows within one gate
 write disjoint pairs and may run on several threads; gates are sequential.
@@ -35,7 +40,7 @@ import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -141,6 +146,12 @@ def _matrix_scalars(matrix: GateMatrix, dtype) -> tuple:
     return s(matrix.a), s(matrix.b), s(matrix.c), s(matrix.d)
 
 
+def _is_swap(mat: tuple) -> bool:
+    """True iff the matrix scalars are X, [[0, 1], [1, 0]]."""
+    a, b, c, d = mat
+    return a == 0 and b == 1 and c == 1 and d == 0
+
+
 def _update_pairs(amps: np.ndarray, k1, k2, mat: tuple):
     """Apply [[a, b], [c, d]] to every pair (amps[k1], amps[k2]).
 
@@ -149,66 +160,117 @@ def _update_pairs(amps: np.ndarray, k1, k2, mat: tuple):
     the arithmetic runs on contiguous copies, so both kernels perform the
     same element operations. X is a pure swap: it equals ``0*x + 1*y`` bit
     for bit except for the sign of a zero component, which the product can
-    flip.
+    flip. The swap, too, writes back from contiguous copies: numpy copies a
+    strided view into a strided view several times slower than to or from a
+    contiguous array.
     """
-    a, b, c, d = mat
     x = amps[k1]
     if not x.flags.owndata:
         x = x.copy()
-    if a == 0 and b == 1 and c == 1 and d == 0:
-        amps[k1] = amps[k2]
-        amps[k2] = x
-        return
     y = amps[k2]
     if not y.flags.owndata:
         y = y.copy()
+    if _is_swap(mat):
+        amps[k1] = y
+        amps[k2] = x
+        return
+    a, b, c, d = mat
     amps[k1] = a * x + b * y
     amps[k2] = c * x + d * y
 
 
-def _windows(count: int, p1_of: Callable) -> tuple[list[int], list[int]]:
-    """Geometry of the ``_BLOCK``-iteration windows of ``[0, count)``, from
-    one vectorised call of ``p1_of`` per gate: the first pair index of each
-    window, and the step ``p1_of(2**b) - p1_of(0)`` of each bit ``b`` of an
-    iteration's offset within its window.
+class _Plan(NamedTuple):
+    """A gate's geometry, in O(n) ints and independent of any state.
 
-    ``p1_of`` must be a bit deposit: it spreads the bits of ``i`` over fixed
-    positions and ORs in fixed bits ``p1_of(0)``. For a window start ``L``
-    and ``0 <= j < _BLOCK`` the bits of ``L`` and ``j`` are disjoint, so
-    ``p1_of(L + j)`` is ``p1_of(L)`` plus the steps of the bits of ``j``.
+    ``base`` and ``steps`` place every scheduled iteration: iteration ``i``
+    updates the pair whose first index is ``base`` plus the steps of the
+    set bits of ``i`` (see ``_plan``). The lattice fields are in elements
+    of ``2**run`` amplitudes: ``shape`` and ``strides`` lay one window of
+    pairs over the state (see ``_pair_lattice``).
     """
-    window = min(count, _BLOCK)
-    windows = count // window
+
+    window: int
+    base: int
+    steps: tuple[int, ...]
+    run: int
+    shape: tuple[int, ...]
+    strides: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(num_qubits: int, target: int, controls: tuple[int, ...], window: int,
+          swap: bool) -> _Plan:
+    """The plan of a gate scheduling ``2**(num_qubits - 1 - len(controls))``
+    iterations in windows of ``window``, from one vectorised call of the
+    mapping ``ith_cleared(reduced_to_global(i))`` per distinct geometry.
+
+    The mapping is a bit deposit: it spreads the bits of ``i`` over fixed
+    positions and ORs in fixed bits, ``base``. So ``steps[b]``, the mapping
+    of ``2**b`` less ``base``, gives every index: a window start's bits and
+    an in-window offset's bits are disjoint, and each window is one lattice.
+
+    ``swap`` asks for wide elements, for a swap on a unit-stride state. The
+    ``run`` lowest iteration bits then step 1, 2, 4, ... amplitudes, as
+    qubits ``0..run-1`` are neither target nor control (and ``run`` is at
+    most the window's bits), so each run of ``2**run`` pairs is one lattice
+    element. Without ``swap``, ``run`` is 0. Lattice axes merge runs of
+    doubling steps.
+    """
     bits = window.bit_length() - 1
-    at = p1_of(np.concatenate((np.arange(0, count, window), 1 << np.arange(bits))))
-    return at[:windows].tolist(), (at[windows:] - at[0]).tolist()
-
-
-def _pair_lattice(amps: np.ndarray, stride: int, steps: list[int]) -> np.ndarray:
-    """A strided view ``lat`` of ``amps`` with ``lat[s, 0]`` the first and
-    ``lat[s, 1]`` the second elements of the pairs of the window whose first
-    pair index is ``s``, in iteration order.
-
-    ``steps`` are the element steps of a window's iteration bits (see
-    ``_windows``); runs of doubling steps form one axis. Axis 0 steps one
-    amplitude, so ``lat[s]`` is the window at any start ``s``.
-    """
+    reduced = num_qubits - 1 - len(controls)
+    at = np.concatenate(([0], 1 << np.arange(reduced, dtype=np.int64)))
+    base, *ends = ith_cleared(reduced_to_global(at, target, controls), target).tolist()
+    steps = tuple(end - base for end in ends)
+    run = min(target, *controls, bits) if swap else 0
     shape, strides = [], []
-    for step in steps:
+    for step in steps[run:bits]:
+        step >>= run
         if strides and step == strides[-1] * shape[-1]:
             shape[-1] *= 2
         else:
             shape.append(2)
             strides.append(step)
-    if not strides:  # a one-iteration window
+    if not strides:  # a one-element window
         shape, strides = [1], [1]
+    stride = 1 << (target - run)
     reach = stride + sum((size - 1) * step for size, step in zip(shape, strides))
-    es = amps.strides[0]
-    return as_strided(
-        amps,
-        shape=(amps.shape[0] - reach, 2, *shape[::-1]),
-        strides=(es, es * stride, *(es * step for step in strides[::-1])),
+    return _Plan(
+        window,
+        base,
+        steps,
+        run,
+        ((1 << (num_qubits - run)) - reach, 2, *shape[::-1]),
+        (1, stride, *strides[::-1]),
     )
+
+
+def _window_starts(plan: _Plan) -> list[int]:
+    """The first pair index of every window, in elements of ``2**run``
+    amplitudes: ``base`` plus the steps of a window index's bits."""
+    starts = [plan.base >> plan.run]
+    for step in plan.steps[plan.window.bit_length() - 1 :]:
+        step >>= plan.run
+        starts += [s + step for s in starts]
+    return starts
+
+
+def _pair_lattice(amps: np.ndarray, plan: _Plan) -> np.ndarray:
+    """A strided view ``lat`` of ``amps`` with ``lat[s, 0]`` the first and
+    ``lat[s, 1]`` the second elements of the pairs of the window whose first
+    pair index is ``s``, in iteration order.
+
+    Axis 0 steps one element, so ``lat[s]`` is the window at any start
+    ``s``. A plan with ``run`` > 0 needs a unit-stride state; its elements
+    are opaque runs of ``2**run`` amplitudes, copied whole. A view on a
+    contiguous state's buffer costs about a tenth of ``as_strided``, which
+    only a strided state needs.
+    """
+    es = amps.strides[0] << plan.run
+    strides = tuple(es * step for step in plan.strides)
+    if not amps.flags.c_contiguous:
+        return as_strided(amps, plan.shape, strides)
+    dtype = np.dtype((np.void, es)) if plan.run else amps.dtype
+    return np.ndarray(plan.shape, dtype, amps, 0, strides)
 
 
 def _worker_count(count: int, threads: int) -> int:
@@ -263,7 +325,7 @@ def baseline_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> int
     each control is evaluated on every iteration, as in a statically
     scheduled kernel, and only the pairs that satisfy all controls are
     updated. A window's first pair indices are a per-gate template plus the
-    window's start.
+    window's start, from the plan of the uncontrolled gate.
 
     Returns the number of iterations visited (2**(n-1)), counted from the
     windows run.
@@ -274,10 +336,9 @@ def baseline_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> int
     cmask = sum(1 << c for c in gate.controls)
     mat = _matrix_scalars(gate.matrix, state.amplitudes.dtype)
     amps = state.amplitudes
-    # ith_cleared is a bit deposit with ith_cleared(0) == 0, so a window
-    # starting at L holds ith_cleared(L) + ith_cleared(arange(_BLOCK)).
-    tpl = ith_cleared(np.arange(min(count, _BLOCK), dtype=np.int64), t)
-    starts, _ = _windows(count, lambda i: ith_cleared(i, t))
+    plan = _plan(state.num_qubits, t, (), min(count, _BLOCK), False)
+    tpl = ith_cleared(np.arange(plan.window, dtype=np.int64), t)
+    starts = _window_starts(plan)
 
     def body(w: int):
         p1 = tpl + starts[w]
@@ -294,23 +355,21 @@ def optimized_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> in
     Each of the 2**(n - n_c - 1) reduced indices is mapped to its global
     iteration index by ``reduced_to_global``, and the pair update runs
     unconditionally: every scheduled iteration does useful work. The mapping
-    runs once per gate, on the start of every window and on one window's
-    bits, which give the strides of two views of the state per window (see
+    runs once per distinct geometry (``_plan``), and gives the window starts
+    and the strides of two views of the state per window (see
     ``_pair_lattice``); the final state is bit-identical to
-    ``baseline_apply``.
+    ``baseline_apply``. A swap on a unit-stride state moves runs of
+    contiguous pairs as single elements.
 
     Returns the number of iterations executed, counted from the windows run.
     """
     count = iteration_count(Strategy.OPTIMIZED, state.num_qubits, gate)
-    t = gate.target
-    controls = gate.controls
-    mat = _matrix_scalars(gate.matrix, state.amplitudes.dtype)
-
-    def p1_of(i):
-        return ith_cleared(reduced_to_global(i, t, controls), t)
-
-    starts, steps = _windows(count, p1_of)
-    lattice = _pair_lattice(state.amplitudes, 1 << t, steps)
+    amps = state.amplitudes
+    mat = _matrix_scalars(gate.matrix, amps.dtype)
+    swap = _is_swap(mat) and amps.flags.c_contiguous
+    plan = _plan(state.num_qubits, gate.target, gate.controls, min(count, _BLOCK), swap)
+    starts = _window_starts(plan)
+    lattice = _pair_lattice(amps, plan)
 
     def body(w: int):
         s = starts[w]

@@ -127,6 +127,21 @@ class TestRun:
         assert code == EXIT_CAPACITY
         assert "16" in err
 
+    def test_dump_over_cap_refused_before_any_work(self, capsys, monkeypatch, tmp_path):
+        def no_work(*args, **kwargs):
+            raise AssertionError("simulation work started")
+
+        monkeypatch.setattr(svsched.cli, "_check_memory", no_work)
+        monkeypatch.setattr(svsched.cli, "new_state", no_work)
+        dump = tmp_path / "s.txt"
+        code, out, err = run_cli(
+            capsys, "run", "stream:17", "--threads", "1", "--top-k", "1", "--dump", str(dump)
+        )
+        assert code == EXIT_CAPACITY
+        assert out == ""
+        assert err == "capacity error: state dump capped at 16 qubits, circuit has 17\n"
+        assert not dump.exists()
+
     def test_memory_check_refuses_before_allocating(self, capsys, monkeypatch):
         def no_state(num_qubits, precision="double"):
             raise AssertionError("new_state called")

@@ -556,16 +556,19 @@ class PairRecorder:
     arrays (the baseline, on the state itself) or by basic indices into a
     strided view of the state (the optimized kernel). Either way the same
     key on ``arr``'s data offset and strides, laid over ``arange`` instead
-    of the amplitudes, gives the basis indices.
+    of the amplitudes, gives the basis indices. An element of a swap's view
+    may be a run of several amplitudes; it stands for all of them, in order.
     """
 
     def __init__(self, monkeypatch):
         self.amps = None
         self.seen = []  # (first indices, second indices) per update
+        self.widths = set()  # amplitudes per element of the arrays updated
         update = sched._update_pairs
 
         def spy(arr, k1, k2, mat):
             self.seen.append((self.indices(arr, k1), self.indices(arr, k2)))
+            self.widths.add(arr.itemsize // self.amps.itemsize)
             update(arr, k1, k2, mat)
 
         monkeypatch.setattr(sched, "_update_pairs", spy)
@@ -574,9 +577,11 @@ class PairRecorder:
         es = self.amps.strides[0]
         offset = arr.__array_interface__["data"][0] - self.amps.__array_interface__["data"][0]
         assert offset % es == 0 and all(st % es == 0 for st in arr.strides)
+        width, rem = divmod(arr.itemsize, self.amps.itemsize)
+        assert rem == 0 and (width == 1 or es == self.amps.itemsize)
         ids = np.arange(self.amps.shape[0], dtype=np.int64)[offset // es :]
         lay = as_strided(ids, arr.shape, [st // es * ids.itemsize for st in arr.strides])
-        return np.array(lay[key]).ravel()
+        return (np.array(lay[key])[..., None] + np.arange(width)).ravel()
 
     def first_indices(self, stride) -> np.ndarray:
         """The first pair elements in update order; checks every partner."""
@@ -599,19 +604,21 @@ class TestExecutedIndices:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_every_geometry_runs_its_pairs_once(self, monkeypatch, strategy):
-        # 8-iteration blocks: every gate with n >= 5 runs several windows
+        # 8-iteration blocks: every gate with n >= 5 runs several windows.
+        # h takes the general update, x the swap, on runs of up to 8 pairs.
         monkeypatch.setattr(sched, "_BLOCK", 8)
         rec = PairRecorder(monkeypatch)
-        for n, t, controls in all_geometries(2, 8):
-            rec.seen.clear()
-            state = new_state(n)
-            rec.amps = state.amplitudes
-            gate = GateOp(gate_h(), t, controls)
-            count = apply_gate(state, gate, strategy)
-            assert count == iteration_count(strategy, n, gate)
-            got = rec.first_indices(1 << t)
-            want = expected_pair_indices(strategy, n, t, controls)
-            assert np.array_equal(got, want), (n, t, controls)
+        for matrix in (gate_h(), gate_x()):
+            for n, t, controls in all_geometries(2, 8):
+                rec.seen.clear()
+                state = new_state(n)
+                rec.amps = state.amplitudes
+                gate = GateOp(matrix, t, controls)
+                count = apply_gate(state, gate, strategy)
+                assert count == iteration_count(strategy, n, gate)
+                got = rec.first_indices(1 << t)
+                want = expected_pair_indices(strategy, n, t, controls)
+                assert np.array_equal(got, want), (matrix, n, t, controls)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_threaded_workers_run_whole_windows(self, monkeypatch, strategy):
@@ -684,6 +691,89 @@ class TestExecutedIndices:
         state = StateVector(n, amps.copy())
         apply_gate(state, GateOp(gate_x(), t, controls), strategy)
         assert state.amplitudes.tobytes() == want.tobytes()
+
+
+class TestPlan:
+    """The per-gate plan: one per geometry and window size, state-free."""
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_each_window_size_gets_its_own_plan(self, monkeypatch, strategy):
+        # the same gates under 8- and 4096-iteration windows in one process
+        n, t, controls = 14, 5, (2, 9)
+        rec = PairRecorder(monkeypatch)
+        want = expected_pair_indices(strategy, n, t, controls)
+        sched._plan.cache_clear()
+        for block in (8, 4096):
+            monkeypatch.setattr(sched, "_BLOCK", block)
+            misses = sched._plan.cache_info().misses
+            for matrix in (gate_h(), gate_x()):
+                rec.seen.clear()
+                state = new_state(n)
+                rec.amps = state.amplitudes
+                apply_gate(state, GateOp(matrix, t, controls), strategy)
+                assert np.array_equal(rec.first_indices(1 << t), want), (block, matrix)
+            assert sched._plan.cache_info().misses > misses
+
+    def test_thirty_qubit_plan_holds_o_n_ints(self):
+        # built without a state; the mapping runs on 29 - 2 reduced bits only
+        n, t, controls = 30, 7, (3, 20)
+        tracemalloc.start()
+        try:
+            plan = sched._plan(n, t, controls, _BLOCK, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        ints = [plan.window, plan.base, plan.run, *plan.steps, *plan.shape, *plan.strides]
+        assert all(type(v) is int for v in ints)
+        assert len(ints) <= 3 * n
+        assert plan.base == (1 << 3) | (1 << 20)
+        assert plan.steps == tuple(1 << q for q in range(n) if q not in (t, *controls))
+        assert plan.run == 3  # qubits 0-2 are free: runs of 8 amplitudes
+
+    def test_cache_is_bounded(self):
+        assert 0 < sched._plan.cache_info().maxsize <= 4096
+
+
+def index_swap(amps, n, t, controls):
+    """X by index arrays: swap every pair the optimized kernel schedules."""
+    p1 = expected_pair_indices(Strategy.OPTIMIZED, n, t, controls)
+    p2 = p1 + (1 << t)
+    amps[p1], amps[p2] = amps[p2], amps[p1]
+
+
+class TestWideSwaps:
+    """A swap on a unit-stride state moves runs of pairs as single elements."""
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_x_cx_ccx_give_the_index_swap_bytes(self, rng, monkeypatch, strategy, dtype):
+        rec = PairRecorder(monkeypatch)
+        for block in (8, 4096):
+            monkeypatch.setattr(sched, "_BLOCK", block)
+            for n, t, controls in all_geometries(2, 8):
+                if len(controls) > 2:
+                    continue
+                amps = random_state(rng, n).amplitudes.astype(dtype)
+                want = amps.copy()
+                index_swap(want, n, t, controls)
+                gate = GateOp(gate_x(), t, controls)
+                dense = StateVector(n, amps.copy())
+                rec.amps, rec.widths = dense.amplitudes, set()
+                apply_gate(dense, gate, strategy)
+                assert dense.amplitudes.tobytes() == want.tobytes(), (n, t, controls)
+                run = min(t, *controls, block.bit_length() - 1)
+                assert rec.widths == {1 << run if strategy is Strategy.OPTIMIZED else 1}
+                # every other amplitude of a buffer: a stride of two elements
+                buf = rng.normal(size=2 << n).astype(dtype)
+                gap = buf[1::2].copy()
+                buf[::2] = amps
+                strided = StateVector(n, buf[::2])
+                rec.amps, rec.widths = strided.amplitudes, set()
+                apply_gate(strided, gate, strategy)
+                assert strided.amplitudes.tobytes() == want.tobytes(), (n, t, controls)
+                assert rec.widths == {1}
+                assert buf[1::2].tobytes() == gap.tobytes()
 
 
 class TestApplyCircuit:
