@@ -112,7 +112,9 @@ def run_bench(
     Every gate's executed-iteration count, as the scheduler reports it from
     the work it ran, is checked against its plan (the optimized scheduler
     must execute exactly 2**(n - n_c - 1) iterations); a gate off its plan
-    raises RuntimeError. The report carries the executed counts.
+    raises RuntimeError. The report carries the executed counts. Gates run
+    one at a time through ``apply_gate``, never in the tiled runs of
+    ``apply_circuit``, so each gate's count and time are its own.
     """
     if reps < 1:
         raise ValueError("need at least one repetition")

@@ -28,7 +28,7 @@ from .circuits import (
     serialize_circuit,
 )
 from .core import MAX_QUBITS, PRECISION_DTYPES, CapacityError, Circuit, new_state, norm_sq
-from .sched import Strategy, apply_circuit
+from .sched import Strategy, apply_circuit, usable_cpus
 from .verify import verify_equivalence, verify_mappings
 
 EXIT_OK = 0
@@ -74,7 +74,7 @@ def default_threads() -> int:
         if threads < 1:
             raise UsageError(f"{THREADS_ENV_VAR} must be >= 1, got {env!r}")
         return threads
-    return os.cpu_count() or 1
+    return usable_cpus()
 
 
 def top_indices(probs: np.ndarray, k: int) -> np.ndarray:
@@ -153,7 +153,7 @@ def _check_memory(num_qubits: int, precision: str, top_k: int, threads: int) -> 
     needed = (
         state
         + max(_CHUNK, min(top_k, 1 << num_qubits)) * _CHUNK_BYTES
-        + min(threads, os.cpu_count() or 1) * _WORKER_BYTES
+        + min(threads, usable_cpus()) * _WORKER_BYTES
     )
     available = _mem_available()
     if available is not None and needed > available:

@@ -29,9 +29,22 @@ baseline gathers a window's pairs by index arrays, a per-gate template
 plus the window's start. Each window's
 temporaries are freed before the next, so a gate's working memory is
 O(block) per thread whatever the register size. Windows within one gate
-write disjoint pairs and may run on several threads; gates are sequential.
-A gate that uses several workers runs them on one pool of at most CPU-count
-threads per process, made on the first threaded gate (``_pool``).
+write disjoint pairs and may run on several threads.
+
+``apply_circuit`` applies gates in order, but groups each maximal run of two
+or more consecutive gates that fit a tile: every qubit of the gate is below
+``b``, where a tile of ``2**b`` amplitudes is ``_TILE_BYTES`` (1 MiB, so
+``b`` is 16 in double and 17 in single precision), and the gate schedules
+at least one whole window per tile. Such a run is applied tile by tile,
+every gate of the run to one contiguous slice of the state before the
+next, so the state is swept once per run instead of once per gate. Each
+tile is a view of the state wrapped as a ``b``-qubit state, and each gate's
+pairs lie within one tile, so every amplitude gets the same pair updates
+in the same order and the result is bit-identical to gate-by-gate
+application. Other gates, and registers of at most ``b`` qubits, run whole.
+Work that uses several workers, a gate's windows or a run's tiles, is split
+into one contiguous range per worker (``_split``) on one pool of at most
+one thread per usable CPU per process, made on first use (``_pool``).
 """
 
 from __future__ import annotations
@@ -55,6 +68,11 @@ _MIN_CHUNK = 1 << 15
 # heap memory instead of faulting in fresh pages. 2**13 raised page faults
 # about threefold on small gates.
 _BLOCK = 1 << 12
+
+# Bytes per tile of a tiled run of gates (see apply_circuit). On stream:22,
+# one thread, on a host with 2 MiB of L2 per core, tiles of 1 MiB beat
+# tiles of 256 KiB, 512 KiB, 2 MiB and 4 MiB.
+_TILE_BYTES = 1 << 20
 
 
 def ith_cleared(i, t: int):
@@ -273,33 +291,55 @@ def _pair_lattice(amps: np.ndarray, plan: _Plan) -> np.ndarray:
     return np.ndarray(plan.shape, dtype, amps, 0, strides)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: the size of its affinity mask where
+    the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(count: int, threads: int) -> int:
-    """Threads one gate of ``count`` iterations runs on: at most ``threads``
-    and the CPU count, and one per ``_MIN_CHUNK`` iterations."""
+    """Threads work of ``count`` iterations runs on: at most ``threads``
+    and the usable CPUs, and one per ``_MIN_CHUNK`` iterations."""
     if threads <= 1 or count < 2 * _MIN_CHUNK:
         return 1
-    return min(threads, os.cpu_count() or 1, count // _MIN_CHUNK)
+    return min(threads, usable_cpus(), count // _MIN_CHUNK)
 
 
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
-    """The process's pool for threaded gates, made on first use."""
-    return ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
+    """The process's pool for threaded work, made on first use."""
+    return ThreadPoolExecutor(max_workers=usable_cpus())
 
 
 # A forked child inherits the cached pool but not its threads.
 os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
+def _split(units: int, workers: int, walk: Callable[[int, int], int]) -> int:
+    """Run ``walk(lo, hi)`` over the units ``[0, units)`` and return the sum
+    of what it returns.
+
+    One worker walks every unit on the calling thread. Several get one
+    contiguous range of whole units each, run on ``_pool()``; the call
+    returns once every range has run.
+    """
+    if workers == 1:
+        return walk(0, units)
+    bounds = [units * k // workers for k in range(workers + 1)]
+    futures = [_pool().submit(walk, bounds[k], bounds[k + 1]) for k in range(workers)]
+    wait(futures)
+    return sum(f.result() for f in futures)
+
+
 def _run_blocks(count: int, threads: int, body: Callable[[int], None]) -> int:
     """Run body(w) on every ``_BLOCK``-iteration window ``w`` of
     ``[0, count)``; returns the total size of the windows run.
 
-    ``count`` is a power of two, so the windows tile ``[0, count)``. When
-    ``_worker_count`` gives several workers, the windows are split into one
-    contiguous range of whole windows per worker, run on ``_pool()``; the
-    call returns once every range has run. Windows write disjoint pairs, so
-    any split yields a bit-identical state.
+    ``count`` is a power of two, so the windows tile ``[0, count)``. The
+    windows are split between ``_worker_count`` workers (``_split``).
+    Windows write disjoint pairs, so any split yields a bit-identical state.
     """
     window = min(count, _BLOCK)
 
@@ -308,14 +348,7 @@ def _run_blocks(count: int, threads: int, body: Callable[[int], None]) -> int:
             body(w)
         return (hi - lo) * window
 
-    windows = count // window
-    workers = _worker_count(count, threads)
-    if workers == 1:
-        return walk(0, windows)
-    bounds = [windows * k // workers for k in range(workers + 1)]
-    futures = [_pool().submit(walk, bounds[k], bounds[k + 1]) for k in range(workers)]
-    wait(futures)
-    return sum(f.result() for f in futures)
+    return _split(count // window, _worker_count(count, threads), walk)
 
 
 def baseline_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> int:
@@ -391,6 +424,57 @@ def apply_gate(
     return optimized_apply(state, gate, threads=threads)
 
 
+def _tile_groups(gates: list[GateOp], strategy: Strategy, bits: int) -> list[list[GateOp]]:
+    """Split ``gates``, in order, into groups: each maximal run of two or
+    more gates that fit a tile of ``bits`` qubits, and every other gate on
+    its own.
+
+    A gate fits when all its qubits are below ``bits`` and it schedules at
+    least one whole ``_BLOCK`` window per tile.
+    """
+    groups: list[list[GateOp]] = []
+    fits = False
+    for gate in gates:
+        joins = fits
+        fits = max(gate.qubits) < bits and iteration_count(strategy, bits, gate) >= _BLOCK
+        if joins and fits:
+            groups[-1].append(gate)
+        else:
+            groups.append([gate])
+    return groups
+
+
+def _apply_tiled(
+    state: StateVector, gates: list[GateOp], strategy: Strategy, threads: int, bits: int
+) -> int:
+    """Apply ``gates`` to each ``2**bits``-amplitude tile of the state in
+    turn, every gate to one tile before the next tile; returns the
+    iterations executed.
+
+    A tile is a contiguous slice of the state, wrapped as a ``bits``-qubit
+    state, and every qubit of the gates is below ``bits``. The tiles are
+    split between the workers the run's iterations call for (``_split``);
+    each tile's gates run on one thread, as a worker that waited on work it
+    submitted to its own pool could wait forever.
+    """
+    amps = state.amplitudes
+    size = 1 << bits
+    tiles = amps.shape[0] >> bits
+    count = sum(iteration_count(strategy, state.num_qubits, gate) for gate in gates)
+
+    def walk(lo: int, hi: int) -> int:
+        executed = 0
+        for c in range(lo, hi):
+            tile = StateVector(bits, amps[c * size : (c + 1) * size])
+            for gate in gates:
+                # Looked up as a module global on every call, so a wrapper
+                # installed on sched.apply_gate sees each (tile, gate).
+                executed += apply_gate(tile, gate, strategy)
+        return executed
+
+    return _split(tiles, min(_worker_count(count, threads), tiles), walk)
+
+
 def apply_circuit(
     state: StateVector,
     circuit: Circuit,
@@ -398,7 +482,8 @@ def apply_circuit(
     *,
     threads: int = 1,
 ) -> int:
-    """Execute a circuit gate by gate (gates are strictly sequential).
+    """Execute a circuit's gates in order; runs of gates that fit a tile are
+    applied tile by tile (see the module docstring).
 
     Returns the total number of iterations executed across all gates.
     """
@@ -406,9 +491,17 @@ def apply_circuit(
         raise ValueError(
             f"circuit is over {circuit.num_qubits} qubits, state over {state.num_qubits}"
         )
+    bits = (_TILE_BYTES // state.amplitudes.itemsize).bit_length() - 1
+    if state.num_qubits <= bits:
+        groups = [[gate] for gate in circuit.gates]
+    else:
+        groups = _tile_groups(circuit.gates, strategy, bits)
     executed = 0
-    for gate in circuit.gates:
-        # Looked up as a module global on every gate, so a wrapper
-        # installed on sched.apply_gate sees each call.
-        executed += apply_gate(state, gate, strategy, threads=threads)
+    for group in groups:
+        if len(group) > 1:
+            executed += _apply_tiled(state, group, strategy, threads, bits)
+        else:
+            # Looked up as a module global on every gate, so a wrapper
+            # installed on sched.apply_gate sees each call.
+            executed += apply_gate(state, group[0], strategy, threads=threads)
     return executed

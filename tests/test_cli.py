@@ -173,7 +173,7 @@ class TestRun:
     def test_memory_check_counts_state_chunk_and_workers(
         self, monkeypatch, n, precision, top_k, threads, needed
     ):
-        monkeypatch.setattr(svsched.cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(svsched.cli, "usable_cpus", lambda: 4)
         monkeypatch.setattr(svsched.cli, "_mem_available", lambda: needed)
         svsched.cli._check_memory(n, precision, top_k, threads)
         monkeypatch.setattr(svsched.cli, "_mem_available", lambda: needed - 1)

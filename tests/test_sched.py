@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import as_strided
 
 from svsched import (
+    CapacityError,
     Circuit,
     GateOp,
     StateVector,
@@ -35,6 +36,7 @@ from svsched import (
     pair_indices,
     reduced_to_global,
 )
+import svsched.cli
 from svsched import sched
 from svsched.oracle import dense_apply, gate_to_dense
 from svsched.sched import _BLOCK, _MIN_CHUNK, _worker_count
@@ -335,7 +337,7 @@ class TestThreading:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_gates_share_one_pool(self, monkeypatch, strategy):
         # ten two-worker gates start the threads of one pool, not two each
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 2)
         started = []
         start = threading.Thread.start
 
@@ -359,7 +361,7 @@ class TestThreading:
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
     def test_forked_child_runs_threaded_gates(self, monkeypatch):
         # the child inherits the parent's pool object but none of its threads
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 2)
         gate = GateOp(gate_h(), 9)
         apply_gate(new_state(18), gate, threads=2)
         pid = os.fork()
@@ -386,11 +388,48 @@ class TestThreading:
 class TestBlocks:
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
         # computed only: no thread is started
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 4)
         assert _worker_count(1 << 29, 1 << 14) == 4
         assert _worker_count(1 << 29, 3) == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 1)
         assert _worker_count(1 << 29, 1 << 14) == 1
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        # computed only: the mask and the count are patched, no thread runs
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert sched.usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert sched.usable_cpus() == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sched.usable_cpus() == 1
+
+    def test_every_cpu_budget_reads_the_usable_cpus(self, monkeypatch):
+        # one usable CPU of eight: no site may fall back to os.cpu_count
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(svsched.cli, "usable_cpus", lambda: 1)
+        monkeypatch.delenv(svsched.cli.THREADS_ENV_VAR, raising=False)
+        assert svsched.cli.default_threads() == 1
+        assert _worker_count(1 << 29, 8) == 1
+        # the pool's size, recorded instead of starting the pool
+        sizes = []
+        monkeypatch.setattr(
+            sched, "ThreadPoolExecutor", lambda max_workers: sizes.append(max_workers)
+        )
+        sched._pool.cache_clear()
+        try:
+            sched._pool()
+        finally:
+            sched._pool.cache_clear()
+        assert sizes == [1]
+        # 16 MiB of state, a 6 MiB output chunk and one worker's 1 MiB
+        needed = (16 << 20) + (6 << 20) + (1 << 20)
+        monkeypatch.setattr(svsched.cli, "_mem_available", lambda: needed)
+        svsched.cli._check_memory(20, "double", 0, 8)
+        monkeypatch.setattr(svsched.cli, "_mem_available", lambda: needed - 1)
+        with pytest.raises(CapacityError):
+            svsched.cli._check_memory(20, "double", 0, 8)
 
     def test_small_gates_run_on_one_worker(self):
         assert _worker_count(_MIN_CHUNK * 2 - 1, 8) == 1
@@ -420,7 +459,7 @@ class TestBlocks:
     ):
         # enough CPUs that 3 workers split the 32 windows of 2**17 iterations
         # into ranges of different sizes
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 4)
         assert (1 << 17) // _BLOCK % 3
         n = circuit.num_qubits
         state = StateVector(n, random_state(rng, n).amplitudes.astype(dtype))
@@ -510,7 +549,7 @@ class TestStridedAndThreadedStates:
         self, rng, monkeypatch, circuit, strategy, threads
     ):
         # 64-iteration windows and chunks: 2 workers on most gates
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 4)
         monkeypatch.setattr(sched, "_BLOCK", 64)
         monkeypatch.setattr(sched, "_MIN_CHUNK", 64)
         n = circuit.num_qubits
@@ -539,7 +578,7 @@ class TestStridedAndThreadedStates:
         amps = random_state(rng, n).amplitudes.astype(dtype)
         with pytest.MonkeyPatch.context() as mp:
             # 4-iteration windows and chunks, so up to 3 workers split gates
-            mp.setattr(os, "cpu_count", lambda: 4)
+            mp.setattr(sched, "usable_cpus", lambda: 4)
             mp.setattr(sched, "_BLOCK", 4)
             mp.setattr(sched, "_MIN_CHUNK", 4)
             want, got = StateVector(n, amps.copy()), StateVector(n, amps.copy())
@@ -624,7 +663,7 @@ class TestExecutedIndices:
     def test_threaded_workers_run_whole_windows(self, monkeypatch, strategy):
         # 3 workers split the 32 (baseline) or 8 (optimized) windows of the
         # gate; 3 divides neither count, so the ranges differ in size
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 4)
         monkeypatch.setattr(sched, "_MIN_CHUNK", _BLOCK)
         rec = PairRecorder(monkeypatch)
         submitted, ran = [], []
@@ -789,3 +828,181 @@ class TestApplyCircuit:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             apply_circuit(new_state(3), gen_streaming(4))
+
+
+def tiny_tiles(mp, bits, dtype):
+    """Patch tiles of ``2**bits`` amplitudes and 2-iteration windows and
+    chunks, so small registers run tiled runs on up to 4 workers."""
+    mp.setattr(sched, "usable_cpus", lambda: 4)
+    mp.setattr(sched, "_BLOCK", 2)
+    mp.setattr(sched, "_MIN_CHUNK", 2)
+    mp.setattr(sched, "_TILE_BYTES", np.dtype(dtype).itemsize << bits)
+
+
+class CallRecorder:
+    """Wraps ``sched.apply_gate`` as a tracer would: records the register
+    size, gate and result of every call."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        apply = sched.apply_gate
+
+        def spy(state, gate, *args, **kwargs):
+            executed = apply(state, gate, *args, **kwargs)
+            self.calls.append((state.num_qubits, gate, executed))
+            return executed
+
+        monkeypatch.setattr(sched, "apply_gate", spy)
+
+
+class TestTiledRuns:
+    """Runs of low-qubit gates applied tile by tile by apply_circuit."""
+
+    def test_which_gates_join_a_run(self, monkeypatch):
+        monkeypatch.setattr(sched, "_BLOCK", 4)
+        gates = [
+            GateOp(gate_h(), 0),
+            GateOp(gate_x(), 1, (0,)),
+            GateOp(gate_h(), 5),  # a qubit above the tile breaks the run
+            GateOp(gate_h(), 2),
+            # 2 optimized iterations per 4-qubit tile: under one window
+            GateOp(gate_x(), 3, (0, 1)),
+            GateOp(gate_h(), 0),
+            GateOp(gate_h(), 1),
+        ]
+        g0, g1, g2, g3, g4, g5, g6 = gates
+        assert sched._tile_groups(gates, Strategy.OPTIMIZED, 4) == [
+            [g0, g1], [g2], [g3], [g4], [g5, g6]
+        ]
+        # the baseline schedules 8 iterations per tile for every gate
+        assert sched._tile_groups(gates, Strategy.BASELINE, 4) == [
+            [g0, g1], [g2], [g3, g4, g5, g6]
+        ]
+        # runs go tile by tile, single gates whole; 4 tiles of 6 qubits
+        rec = CallRecorder(monkeypatch)
+        monkeypatch.setattr(sched, "_TILE_BYTES", 16 << 4)
+        apply_circuit(new_state(6), Circuit(6, gates), Strategy.OPTIMIZED)
+        index = {id(gate): i for i, gate in enumerate(gates)}
+        order = [(n, index[id(gate)]) for n, gate, _ in rec.calls]
+        assert order == [(4, 0), (4, 1)] * 4 + [(6, 2), (6, 3), (6, 4)] + [(4, 5), (4, 6)] * 4
+        # a register no larger than a tile runs every gate whole
+        rec.calls.clear()
+        apply_circuit(new_state(4), Circuit(4, gates[:2]), Strategy.OPTIMIZED)
+        assert [n for n, _, _ in rec.calls] == [4, 4]
+
+    def test_default_tile_is_one_mib(self, monkeypatch):
+        # 2**16 double or 2**17 single amplitudes. Stream's gate k schedules
+        # 2**(bits-1-k) iterations per tile, so gates 0-3 or 0-4 join.
+        rec = CallRecorder(monkeypatch)
+        for dtype, bits, joined in ((np.complex128, 16, 4), (np.complex64, 17, 5)):
+            rec.calls.clear()
+            state = StateVector(18, np.zeros(1 << 18, dtype))
+            apply_circuit(state, gen_streaming(18), Strategy.OPTIMIZED)
+            tiled = [gate.target for n, gate, _ in rec.calls if n == bits]
+            assert tiled == list(range(joined)) * (1 << (18 - bits))
+            assert [n for n, _, _ in rec.calls].count(18) == 18 - joined
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_stream_is_a_roll(self, rng, monkeypatch, dtype, strategy, threads):
+        # with 16-amplitude tiles, and with the default tile on 18 qubits
+        for n, bits in ((10, 4), (18, None)):
+            amps = random_state(rng, n).amplitudes.astype(dtype)
+            state = StateVector(n, amps.copy())
+            with pytest.MonkeyPatch.context() as mp:
+                if bits is not None:
+                    tiny_tiles(mp, bits, dtype)
+                tile = (sched._TILE_BYTES // np.dtype(dtype).itemsize).bit_length() - 1
+                assert len(sched._tile_groups(gen_streaming(n).gates, strategy, tile)) < n
+                apply_circuit(state, gen_streaming(n), strategy, threads=threads)
+            assert state.amplitudes.tobytes() == np.roll(amps, -1).tobytes(), n
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_iterations_summed_over_tiles_follow_the_law(self, monkeypatch, strategy):
+        n = 12
+        circuit = Circuit(n, [*gen_qft(5).gates, *gen_streaming(n).gates, *gen_qft(4).gates])
+        tiny_tiles(monkeypatch, 5, np.complex128)
+        rec = CallRecorder(monkeypatch)
+        total = apply_circuit(new_state(n), circuit, strategy, threads=2)
+        per_gate = {}
+        for _, gate, executed in rec.calls:
+            per_gate[id(gate)] = per_gate.get(id(gate), 0) + executed
+        assert [per_gate[id(g)] for g in circuit.gates] == [
+            iteration_count(strategy, n, g) for g in circuit.gates
+        ]
+        assert total == sum(per_gate.values())
+        assert sum(size == 5 for size, _, _ in rec.calls) >= 2 << (n - 5)
+
+    def test_workers_take_contiguous_ranges_of_whole_tiles(self, rng, monkeypatch):
+        # 32 tiles of 16 amplitudes on 3 workers: ranges of 10, 11 and 11
+        n, bits = 9, 4
+        gates = [GateOp(gate_h(), 0), GateOp(gate_x(), 3, (1,)), GateOp(gate_h(), 2)]
+        circuit = Circuit(n, gates)
+        amps = random_state(rng, n).amplitudes
+        want = StateVector(n, amps.copy())
+        for gate in circuit.gates:
+            apply_gate(want, gate)
+        submitted = []
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(args)
+                return super().submit(fn, *args)
+
+        tiny_tiles(monkeypatch, bits, amps.dtype)
+        rec = CallRecorder(monkeypatch)
+        got = StateVector(n, amps.copy())
+        with Pool(max_workers=3) as pool:
+            monkeypatch.setattr(sched, "_pool", lambda: pool)
+            executed = apply_circuit(got, circuit, threads=3)
+        assert executed == sum(iteration_count(Strategy.OPTIMIZED, n, g) for g in circuit.gates)
+        assert submitted == [(0, 10), (10, 21), (21, 32)]
+        assert len(rec.calls) == 3 * 32 and {size for size, _, _ in rec.calls} == {bits}
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_tiles_are_views(self, strategy):
+        # a 16 MiB state: tiled like a single gate, in O(block) memory
+        gates = [GateOp(gate_h(), 0), GateOp(gate_x(), 1, (0,)), GateOp(gate_h(), 15)]
+        circuit = Circuit(20, gates)
+        assert len(sched._tile_groups(circuit.gates, strategy, 16)) == 1
+        state = new_state(20)
+        tracemalloc.start()
+        try:
+            apply_circuit(state, circuit, strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_random_circuits_equal_gate_by_gate(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        bits = data.draw(st.integers(3, 5), label="tile bits")
+        n = data.draw(st.integers(bits + 1, 9), label="n")
+        size = data.draw(st.integers(2, 8), label="gates")
+        threads = data.draw(st.sampled_from([1, 2, 3]), label="threads")
+        dtype = data.draw(st.sampled_from([np.complex128, np.complex64]), label="dtype")
+        strategy = data.draw(st.sampled_from(list(Strategy)), label="strategy")
+        strided = data.draw(st.booleans(), label="strided")
+        rng = np.random.default_rng(seed)
+        # each gate on the tile's qubits or on the whole register
+        gates = [random_gate(rng, bits if rng.integers(2) else n) for _ in range(size)]
+        amps = random_state(rng, n).amplitudes.astype(dtype)
+        buf = rng.normal(size=2 << n).astype(dtype)
+        gap = buf[1::2].copy()
+        with pytest.MonkeyPatch.context() as mp:
+            tiny_tiles(mp, bits, dtype)
+            want = StateVector(n, amps.copy())
+            for gate in gates:
+                apply_gate(want, gate, strategy)
+            if strided:
+                buf[::2] = amps
+                got = StateVector(n, buf[::2])
+            else:
+                got = StateVector(n, amps.copy())
+            apply_circuit(got, Circuit(n, gates), strategy, threads=threads)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert buf[1::2].tobytes() == gap.tobytes()
