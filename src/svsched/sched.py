@@ -20,22 +20,23 @@ a gate's iteration range through one block loop (``_run_blocks``) over
 windows of at most ``_BLOCK`` iterations, and take the start of every window
 from the gate's plan (``_plan``): the mapping of every reduced bit, run once
 per (register size, target, controls, window size, swap) and kept in a
-cache of at most 1,024 plans of O(n) ints each, which hold no state. The
-optimized kernel updates a window through two strided views of the state,
-whose strides the plan gives (``_pair_lattice``); a swap on a unit-stride
-state views each run of contiguous pairs below the gate's qubits as one
-wide element, so numpy copies runs instead of single amplitudes. The
-baseline gathers a window's pairs by index arrays, a per-gate template
-plus the window's start. Each window's
-temporaries are freed before the next, so a gate's working memory is
-O(block) per thread whatever the register size. Windows within one gate
-write disjoint pairs and may run on several threads.
+cache of at most 1,024 plans of O(n) ints and 16 window starts each, which
+hold no state. The optimized kernel updates a window through two strided
+views of the state, whose strides the plan gives (``_pair_lattice``); a
+swap on a unit-stride state views each run of contiguous pairs below the
+gate's qubits as one wide element, so numpy copies runs instead of single
+amplitudes. The baseline gathers a window's pairs by index arrays, a
+template cached per window size and target plus the window's start. With
+the matrix scalars cached too, a gate on a warm geometry builds only its
+views. Each window's temporaries are freed before the next, so a gate's
+working memory is O(block) per thread whatever the register size. Windows
+within one gate write disjoint pairs and may run on several threads.
 
 ``apply_circuit`` applies gates in order, but groups each maximal run of two
 or more consecutive gates that fit a tile: every qubit of the gate is below
 ``b``, where a tile of ``2**b`` amplitudes is ``_TILE_BYTES`` (1 MiB, so
 ``b`` is 16 in double and 17 in single precision), and the gate schedules
-at least one whole window per tile. Such a run is applied tile by tile,
+at least an eighth of a window per tile. Such a run is applied tile by tile,
 every gate of the run to one contiguous slice of the state before the
 next, so the state is swept once per run instead of once per gate. Each
 tile is a view of the state wrapped as a ``b``-qubit state, and each gate's
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import os
+import struct
 from concurrent.futures import ThreadPoolExecutor, wait
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -73,6 +75,15 @@ _BLOCK = 1 << 12
 # one thread, on a host with 2 MiB of L2 per core, tiles of 1 MiB beat
 # tiles of 256 KiB, 512 KiB, 2 MiB and 4 MiB.
 _TILE_BYTES = 1 << 20
+
+# A gate joins a tiled run when it schedules at least _BLOCK >> _JOIN_SHIFT
+# iterations per tile (see _tile_groups). Passes of stream:22 on one thread,
+# same host: 42.0, 36.3, 35.6, 35.5, 36.0 and 36.2 ms at shifts 0-5.
+_JOIN_SHIFT = 3
+
+# Window starts a plan keeps. A larger gate lists its starts on every call,
+# at about 50 ns a window, a fraction of a percent of the window's update.
+_KEPT_STARTS = 16
 
 
 def ith_cleared(i, t: int):
@@ -151,17 +162,24 @@ def iteration_count(strategy: Strategy, num_qubits: int, gate: GateOp) -> int:
 
     Raises ValueError if a qubit of the gate is outside the register.
     """
-    top = max(gate.qubits)
+    top = max((gate.target, *gate.controls))
     if top >= num_qubits:
         raise ValueError(f"qubit {top} out of range for a {num_qubits}-qubit register")
-    n_c = gate.num_controls if strategy is Strategy.OPTIMIZED else 0
+    n_c = len(gate.controls) if strategy is Strategy.OPTIMIZED else 0
     return 1 << (num_qubits - 1 - n_c)
 
 
-def _matrix_scalars(matrix: GateMatrix, dtype) -> tuple:
-    # Cast once so single-precision states compute in single precision.
-    s = dtype.type
-    return s(matrix.a), s(matrix.b), s(matrix.c), s(matrix.d)
+def _matrix_scalars(m: GateMatrix, dtype) -> tuple:
+    """The entries of ``m`` as ``dtype`` scalars, so single-precision states
+    compute in single precision. Cached by the entries' bytes: ``GateMatrix``
+    equates -0.0 with 0.0, but a zero's sign can reach the result."""
+    parts = (m.a.real, m.a.imag, m.b.real, m.b.imag, m.c.real, m.c.imag, m.d.real, m.d.imag)
+    return _cast(struct.pack("8d", *parts), dtype)
+
+
+@functools.lru_cache(maxsize=256)
+def _cast(entries: bytes, dtype) -> tuple:
+    return tuple(np.frombuffer(entries, np.complex128).astype(dtype))
 
 
 def _is_swap(mat: tuple) -> bool:
@@ -202,9 +220,9 @@ class _Plan(NamedTuple):
 
     ``base`` and ``steps`` place every scheduled iteration: iteration ``i``
     updates the pair whose first index is ``base`` plus the steps of the
-    set bits of ``i`` (see ``_plan``). The lattice fields are in elements
-    of ``2**run`` amplitudes: ``shape`` and ``strides`` lay one window of
-    pairs over the state (see ``_pair_lattice``).
+    set bits of ``i`` (see ``_plan``). The other fields are in elements of
+    ``2**run`` amplitudes: ``shape`` and ``strides`` lay one window of pairs
+    over the state (see ``_pair_lattice``), ``starts`` begin its first windows.
     """
 
     window: int
@@ -213,6 +231,7 @@ class _Plan(NamedTuple):
     run: int
     shape: tuple[int, ...]
     strides: tuple[int, ...]
+    starts: tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -232,7 +251,7 @@ def _plan(num_qubits: int, target: int, controls: tuple[int, ...], window: int,
     qubits ``0..run-1`` are neither target nor control (and ``run`` is at
     most the window's bits), so each run of ``2**run`` pairs is one lattice
     element. Without ``swap``, ``run`` is 0. Lattice axes merge runs of
-    doubling steps.
+    doubling steps. The plan keeps the first ``_KEPT_STARTS`` window starts.
     """
     bits = window.bit_length() - 1
     reduced = num_qubits - 1 - len(controls)
@@ -252,6 +271,9 @@ def _plan(num_qubits: int, target: int, controls: tuple[int, ...], window: int,
         shape, strides = [1], [1]
     stride = 1 << (target - run)
     reach = stride + sum((size - 1) * step for size, step in zip(shape, strides))
+    starts = [base >> run]
+    for step in steps[bits : bits + _KEPT_STARTS.bit_length() - 1]:
+        starts += [s + (step >> run) for s in starts]
     return _Plan(
         window,
         base,
@@ -259,16 +281,18 @@ def _plan(num_qubits: int, target: int, controls: tuple[int, ...], window: int,
         run,
         ((1 << (num_qubits - run)) - reach, 2, *shape[::-1]),
         (1, stride, *strides[::-1]),
+        tuple(starts),
     )
 
 
-def _window_starts(plan: _Plan) -> list[int]:
+def _window_starts(plan: _Plan):
     """The first pair index of every window, in elements of ``2**run``
-    amplitudes: ``base`` plus the steps of a window index's bits."""
-    starts = [plan.base >> plan.run]
-    for step in plan.steps[plan.window.bit_length() - 1 :]:
+    amplitudes: ``base`` plus the steps of a window index's bits. A gate of
+    at most ``_KEPT_STARTS`` windows gets the plan's own tuple."""
+    starts = plan.starts
+    for step in plan.steps[plan.window.bit_length() + len(starts).bit_length() - 2 :]:
         step >>= plan.run
-        starts += [s + step for s in starts]
+        starts = [*starts, *[s + step for s in starts]]
     return starts
 
 
@@ -342,13 +366,27 @@ def _run_blocks(count: int, threads: int, body: Callable[[int], None]) -> int:
     Windows write disjoint pairs, so any split yields a bit-identical state.
     """
     window = min(count, _BLOCK)
+    workers = _worker_count(count, threads)
+    if workers == 1:
+        for w in range(count // window):
+            body(w)
+        return count
 
     def walk(lo: int, hi: int) -> int:
         for w in range(lo, hi):
             body(w)
         return (hi - lo) * window
 
-    return _split(count // window, _worker_count(count, threads), walk)
+    return _split(count // window, workers, walk)
+
+
+@functools.lru_cache(maxsize=64)
+def _template(window: int, target: int) -> np.ndarray:
+    """The baseline's first pair indices of the window at 0, read-only. Callers
+    pass ``min(target, bits)``: every higher target gives ``arange(window)``."""
+    tpl = ith_cleared(np.arange(window, dtype=np.int64), target)
+    tpl.flags.writeable = False
+    return tpl
 
 
 def baseline_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> int:
@@ -357,7 +395,7 @@ def baseline_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> int
     Every iteration's pair is tested against the gate's control mask, so
     each control is evaluated on every iteration, as in a statically
     scheduled kernel, and only the pairs that satisfy all controls are
-    updated. A window's first pair indices are a per-gate template plus the
+    updated. A window's first pair indices are a cached template plus the
     window's start, from the plan of the uncontrolled gate.
 
     Returns the number of iterations visited (2**(n-1)), counted from the
@@ -370,7 +408,7 @@ def baseline_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> int
     mat = _matrix_scalars(gate.matrix, state.amplitudes.dtype)
     amps = state.amplitudes
     plan = _plan(state.num_qubits, t, (), min(count, _BLOCK), False)
-    tpl = ith_cleared(np.arange(plan.window, dtype=np.int64), t)
+    tpl = _template(plan.window, min(t, plan.window.bit_length() - 1))
     starts = _window_starts(plan)
 
     def body(w: int):
@@ -430,13 +468,14 @@ def _tile_groups(gates: list[GateOp], strategy: Strategy, bits: int) -> list[lis
     its own.
 
     A gate fits when all its qubits are below ``bits`` and it schedules at
-    least one whole ``_BLOCK`` window per tile.
+    least ``_BLOCK >> _JOIN_SHIFT`` iterations per tile, read on every call.
     """
     groups: list[list[GateOp]] = []
     fits = False
     for gate in gates:
         joins = fits
-        fits = max(gate.qubits) < bits and iteration_count(strategy, bits, gate) >= _BLOCK
+        top = max((gate.target, *gate.controls))
+        fits = top < bits and iteration_count(strategy, bits, gate) >= _BLOCK >> _JOIN_SHIFT
         if joins and fits:
             groups[-1].append(gate)
         else:

@@ -14,6 +14,7 @@ from numpy.lib.stride_tricks import as_strided
 from svsched import (
     CapacityError,
     Circuit,
+    GateMatrix,
     GateOp,
     StateVector,
     Strategy,
@@ -763,15 +764,98 @@ class TestPlan:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
-        ints = [plan.window, plan.base, plan.run, *plan.steps, *plan.shape, *plan.strides]
+        ints = [plan.window, plan.base, plan.run, *plan.steps, *plan.shape, *plan.strides,
+                *plan.starts]
         assert all(type(v) is int for v in ints)
         assert len(ints) <= 3 * n
         assert plan.base == (1 << 3) | (1 << 20)
         assert plan.steps == tuple(1 << q for q in range(n) if q not in (t, *controls))
         assert plan.run == 3  # qubits 0-2 are free: runs of 8 amplitudes
+        # the first of 2**15 windows, in elements of 8 amplitudes
+        first = np.arange(sched._KEPT_STARTS, dtype=np.int64) * _BLOCK
+        want = ith_cleared(reduced_to_global(first, t, controls), t) >> 3
+        assert plan.starts == tuple(want.tolist())
 
     def test_cache_is_bounded(self):
-        assert 0 < sched._plan.cache_info().maxsize <= 4096
+        # every cache of per-gate work, not only the plans
+        for cache in CACHES:
+            assert 0 < cache.cache_info().maxsize <= 4096
+
+
+CACHES = (sched._plan, sched._cast, sched._template)
+
+
+def clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+class TestWarmGates:
+    """A gate on a geometry seen before pays only the per-call floor."""
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_second_call_builds_nothing(self, monkeypatch, strategy):
+        # 16 baseline or 4 optimized windows: the plan keeps all their starts
+        calls = []
+
+        def spy(name):
+            real = getattr(sched, name)
+
+            def wrapper(*args):
+                out = real(*args)
+                calls.append((name, args, out))
+                return out
+
+            monkeypatch.setattr(sched, name, wrapper)
+
+        for name in ("reduced_to_global", "ith_cleared", "_window_starts", "_matrix_scalars"):
+            spy(name)
+        for matrix in (gate_h(), gate_x()):
+            gate = GateOp(matrix, 3, (0, 7))
+            state = new_state(17)
+            apply_gate(state, gate, strategy)
+            first = [out for name, _, out in calls if name == "_matrix_scalars"]
+            calls.clear()
+            misses = [cache.cache_info().misses for cache in CACHES]
+            apply_gate(state, gate, strategy)
+            assert [cache.cache_info().misses for cache in CACHES] == misses
+            names = [name for name, _, _ in calls]
+            assert names == ["_matrix_scalars", "_window_starts"], matrix
+            (_, _, mat), (_, (plan,), starts) = calls
+            assert mat is first[0] and starts is plan.starts
+            calls.clear()
+
+    def test_high_targets_share_one_template(self):
+        clear_caches()
+        for t in (12, 14, 16):
+            baseline_apply(new_state(17), GateOp(gate_h(), t, (3,)))
+        assert sched._template.cache_info().currsize == 1
+        baseline_apply(new_state(17), GateOp(gate_h(), 5))
+        assert sched._template.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_zero_sign_of_an_equal_matrix_is_kept(self, rng, strategy, dtype):
+        # equal matrices, hashed alike, that differ in the sign of b's zero
+        plus, minus = GateMatrix(1, 0.0, 0, 1), GateMatrix(1, -0.0, 0, 1)
+        assert plus == minus and hash(plus) == hash(minus)
+        amps = random_state(rng, 6).amplitudes.astype(dtype)
+        amps.real[::2] = -0.0
+
+        def run(matrix):
+            state = StateVector(6, amps.copy())
+            apply_gate(state, GateOp(matrix, 2, (4,)), strategy)
+            return state.amplitudes.tobytes()
+
+        want = []
+        for matrix in (plus, minus):
+            clear_caches()
+            want.append(run(matrix))
+        assert want[0] != want[1]
+        for order in ((0, 1), (1, 0)):
+            clear_caches()
+            for k in order:
+                assert run((plus, minus)[k]) == want[k], order
 
 
 def index_swap(amps, n, t, controls):
@@ -859,13 +943,15 @@ class TestTiledRuns:
     """Runs of low-qubit gates applied tile by tile by apply_circuit."""
 
     def test_which_gates_join_a_run(self, monkeypatch):
-        monkeypatch.setattr(sched, "_BLOCK", 4)
+        # 32-iteration windows: a gate joins from 32 >> 3 = 4 iterations per
+        # tile, so every gate below joins with less than one window per tile
+        monkeypatch.setattr(sched, "_BLOCK", 32)
         gates = [
             GateOp(gate_h(), 0),
             GateOp(gate_x(), 1, (0,)),
             GateOp(gate_h(), 5),  # a qubit above the tile breaks the run
             GateOp(gate_h(), 2),
-            # 2 optimized iterations per 4-qubit tile: under one window
+            # 2 optimized iterations per 4-qubit tile: under an eighth of a window
             GateOp(gate_x(), 3, (0, 1)),
             GateOp(gate_h(), 0),
             GateOp(gate_h(), 1),
@@ -892,9 +978,10 @@ class TestTiledRuns:
 
     def test_default_tile_is_one_mib(self, monkeypatch):
         # 2**16 double or 2**17 single amplitudes. Stream's gate k schedules
-        # 2**(bits-1-k) iterations per tile, so gates 0-3 or 0-4 join.
+        # 2**(bits-1-k) iterations per tile, so gates 0-6 or 0-7 schedule at
+        # least an eighth of a 4096-iteration window and join.
         rec = CallRecorder(monkeypatch)
-        for dtype, bits, joined in ((np.complex128, 16, 4), (np.complex64, 17, 5)):
+        for dtype, bits, joined in ((np.complex128, 16, 7), (np.complex64, 17, 8)):
             rec.calls.clear()
             state = StateVector(18, np.zeros(1 << 18, dtype))
             apply_circuit(state, gen_streaming(18), Strategy.OPTIMIZED)
@@ -914,7 +1001,11 @@ class TestTiledRuns:
                 if bits is not None:
                     tiny_tiles(mp, bits, dtype)
                 tile = (sched._TILE_BYTES // np.dtype(dtype).itemsize).bit_length() - 1
-                assert len(sched._tile_groups(gen_streaming(n).gates, strategy, tile)) < n
+                run, *rest = sched._tile_groups(gen_streaming(n).gates, strategy, tile)
+                assert len(rest) < n - 1
+                # the optimized run takes gates below one window per tile
+                least = min(iteration_count(strategy, tile, gate) for gate in run)
+                assert least < sched._BLOCK or strategy is Strategy.BASELINE
                 apply_circuit(state, gen_streaming(n), strategy, threads=threads)
             assert state.amplitudes.tobytes() == np.roll(amps, -1).tobytes(), n
 
@@ -923,16 +1014,28 @@ class TestTiledRuns:
         n = 12
         circuit = Circuit(n, [*gen_qft(5).gates, *gen_streaming(n).gates, *gen_qft(4).gates])
         tiny_tiles(monkeypatch, 5, np.complex128)
+        # 16-iteration windows: gates of 2 to 8 iterations per tile join too
+        monkeypatch.setattr(sched, "_BLOCK", 16)
+        groups = sched._tile_groups(circuit.gates, strategy, 5)
+        tiled = [gate for group in groups if len(group) > 1 for gate in group]
+        least = min(iteration_count(strategy, 5, gate) for gate in tiled)
+        assert least < 16 or strategy is Strategy.BASELINE
         rec = CallRecorder(monkeypatch)
         total = apply_circuit(new_state(n), circuit, strategy, threads=2)
-        per_gate = {}
-        for _, gate, executed in rec.calls:
+        per_gate, calls = {}, {}
+        for size, gate, executed in rec.calls:
             per_gate[id(gate)] = per_gate.get(id(gate), 0) + executed
+            calls[id(gate), size] = calls.get((id(gate), size), 0) + 1
         assert [per_gate[id(g)] for g in circuit.gates] == [
             iteration_count(strategy, n, g) for g in circuit.gates
         ]
         assert total == sum(per_gate.values())
-        assert sum(size == 5 for size, _, _ in rec.calls) >= 2 << (n - 5)
+        # every (tile, gate) of a run reaches sched.apply_gate; others run whole
+        untiled = [gate for group in groups if len(group) == 1 for gate in group]
+        assert calls == {
+            **{(id(g), 5): 1 << (n - 5) for g in tiled},
+            **{(id(g), n): 1 for g in untiled},
+        }
 
     def test_workers_take_contiguous_ranges_of_whole_tiles(self, rng, monkeypatch):
         # 32 tiles of 16 amplitudes on 3 workers: ranges of 10, 11 and 11
