@@ -46,13 +46,16 @@ _CHUNK = 1 << 16
 
 # Working memory of run beyond the state, for the pre-flight check. Traced
 # with tracemalloc: top_amplitudes peaks at 16 bytes per chunk amplitude for
-# a small k and at 88 when k fills the chunk (2k candidates are merged); one
-# worker's window temporaries peak at 424 KiB (a double-precision h under
-# the baseline). A double-precision x on 20 qubits peaks at 132 KiB, both
-# halves of a window, whether it moves its pairs singly or in runs of 2**5
-# or 2**12 pairs.
+# a small k and at 88 when k fills the chunk (2k candidates are merged). Window
+# temporaries peak with a double-precision h under the baseline: 424 KiB for
+# one worker's 4,096-iteration windows, and 2,708 KiB for two workers with
+# 16,384-iteration windows (the optimized h: 321 and 2,056 KiB). A
+# double-precision x on 20 qubits peaks at 132 KiB on one worker, both halves
+# of a window, whether it moves its pairs singly or in runs of 2**5 or 2**12
+# pairs.
 _CHUNK_BYTES = 96
-_WORKER_BYTES = 1 << 20
+_WORKER_BYTES = 1 << 20  # one worker
+_WIDE_WORKER_BYTES = 2 << 20  # each of several workers
 
 _GENERATORS = {"qft": gen_qft, "stream": gen_streaming, "sq": gen_squaring}
 
@@ -150,10 +153,11 @@ def _check_memory(num_qubits: int, precision: str, top_k: int, threads: int) -> 
     if num_qubits > MAX_QUBITS:
         return
     state = np.dtype(PRECISION_DTYPES[precision]).itemsize << num_qubits
+    workers = min(threads, usable_cpus())
     needed = (
         state
         + max(_CHUNK, min(top_k, 1 << num_qubits)) * _CHUNK_BYTES
-        + min(threads, usable_cpus()) * _WORKER_BYTES
+        + workers * (_WORKER_BYTES if workers == 1 else _WIDE_WORKER_BYTES)
     )
     available = _mem_available()
     if available is not None and needed > available:

@@ -15,33 +15,36 @@ Two interchangeable strategies execute a gate:
   (``reduced_to_global``), and updates memory unconditionally.
 
 Both write each surviving amplitude exactly once per gate with the same
-pair update (``_update_pairs``), so their results are bit-identical. Both run
-a gate's iteration range through one block loop (``_run_blocks``) over
-windows of at most ``_BLOCK`` iterations, and take the start of every window
-from the gate's plan (``_plan``): the mapping of every reduced bit, run once
-per (register size, target, controls, window size, swap) and kept in a
-cache of at most 1,024 plans of O(n) ints and 16 window starts each, which
-hold no state. The optimized kernel updates a window through two strided
-views of the state, whose strides the plan gives (``_pair_lattice``); a
-swap on a unit-stride state views each run of contiguous pairs below the
-gate's qubits as one wide element, so numpy copies runs instead of single
-amplitudes. The baseline gathers a window's pairs by index arrays, a
-template cached per window size and target plus the window's start. With
-the matrix scalars cached too, a gate on a warm geometry builds only its
-views. Each window's temporaries are freed before the next, so a gate's
-working memory is O(block) per thread whatever the register size. Windows
-within one gate write disjoint pairs and may run on several threads.
+pair update (``_update_pairs``), so their results are bit-identical. A gate
+is resolved once (``_resolve``) into its scalars, window starts and plan
+(``_plan``): the mapping of every reduced bit, run once per (register size,
+target, controls, window size, swap) and kept in a cache of at most 1,024
+plans of O(n) ints and 16 window starts each. The optimized kernel updates
+a window through two strided views of the state, whose strides the plan
+gives (``_pair_lattice``); a swap on a unit-stride state views each run of
+contiguous pairs below the gate's qubits as one wide element, so numpy
+copies runs instead of single amplitudes. The baseline gathers a window's
+pairs by index arrays, a template cached per window size and target plus
+the window's start. A gate on a warm geometry builds only its views.
+
+A gate runs in windows sized by the number of workers that run at once
+(``_window``): 4,096 iterations on one worker, four times that on several,
+whose numpy calls then run longer between hand-overs of the interpreter
+lock. Each window's temporaries are freed before the next, so a gate's
+working memory is O(window) per worker whatever the register size. Windows
+within one gate write disjoint pairs and may run on several workers.
 
 ``apply_circuit`` applies gates in order, but groups each maximal run of two
 or more consecutive gates that fit a tile: every qubit of the gate is below
 ``b``, where a tile of ``2**b`` amplitudes is ``_TILE_BYTES`` (1 MiB, so
 ``b`` is 16 in double and 17 in single precision), and the gate schedules
-at least an eighth of a window per tile. Such a run is applied tile by tile,
-every gate of the run to one contiguous slice of the state before the
-next, so the state is swept once per run instead of once per gate. Each
-tile is a view of the state wrapped as a ``b``-qubit state, and each gate's
-pairs lie within one tile, so every amplitude gets the same pair updates
-in the same order and the result is bit-identical to gate-by-gate
+at least an eighth of a one-worker window per tile. Such a run is applied
+tile by tile, every gate of the run to one contiguous slice of the state
+before the next, so the state is swept once per run instead of once per
+gate. Each gate of a run is resolved once for every tile, at the tile's
+geometry, and reaches tile ``c`` at a fixed offset into the state. Each
+gate's pairs lie within one tile, so every amplitude gets the same pair
+updates in the same order and the result is bit-identical to gate-by-gate
 application. Other gates, and registers of at most ``b`` qubits, run whole.
 Work that uses several workers, a gate's windows or a run's tiles, is split
 into one contiguous range per worker (``_split``) on one pool of at most
@@ -70,6 +73,12 @@ _MIN_CHUNK = 1 << 15
 # heap memory instead of faulting in fresh pages. 2**13 raised page faults
 # about threefold on small gates.
 _BLOCK = 1 << 12
+
+# Work on several workers at once runs in windows 2**_WIDE_SHIFT times wider,
+# so the workers hand over the interpreter lock less often. Passes of
+# stream:22 on two threads, same host: 40-42, 28-30, 23-26 and 25-26 ms at
+# shifts 0-3 (medians of 21).
+_WIDE_SHIFT = 2
 
 # Bytes per tile of a tiled run of gates (see apply_circuit). On stream:22,
 # one thread, on a host with 2 MiB of L2 per core, tiles of 1 MiB beat
@@ -222,7 +231,8 @@ class _Plan(NamedTuple):
     updates the pair whose first index is ``base`` plus the steps of the
     set bits of ``i`` (see ``_plan``). The other fields are in elements of
     ``2**run`` amplitudes: ``shape`` and ``strides`` lay one window of pairs
-    over the state (see ``_pair_lattice``), ``starts`` begin its first windows.
+    over the state (see ``_pair_lattice``) and span ``reach`` elements past
+    its first, and ``starts`` begin its first windows.
     """
 
     window: int
@@ -231,6 +241,7 @@ class _Plan(NamedTuple):
     run: int
     shape: tuple[int, ...]
     strides: tuple[int, ...]
+    reach: int
     starts: tuple[int, ...]
 
 
@@ -274,15 +285,8 @@ def _plan(num_qubits: int, target: int, controls: tuple[int, ...], window: int,
     starts = [base >> run]
     for step in steps[bits : bits + _KEPT_STARTS.bit_length() - 1]:
         starts += [s + (step >> run) for s in starts]
-    return _Plan(
-        window,
-        base,
-        steps,
-        run,
-        ((1 << (num_qubits - run)) - reach, 2, *shape[::-1]),
-        (1, stride, *strides[::-1]),
-        tuple(starts),
-    )
+    return _Plan(window, base, steps, run, (2, *shape[::-1]), (stride, *strides[::-1]), reach,
+                 tuple(starts))
 
 
 def _window_starts(plan: _Plan):
@@ -301,18 +305,20 @@ def _pair_lattice(amps: np.ndarray, plan: _Plan) -> np.ndarray:
     ``lat[s, 1]`` the second elements of the pairs of the window whose first
     pair index is ``s``, in iteration order.
 
-    Axis 0 steps one element, so ``lat[s]`` is the window at any start
-    ``s``. A plan with ``run`` > 0 needs a unit-stride state; its elements
-    are opaque runs of ``2**run`` amplitudes, copied whole. A view on a
-    contiguous state's buffer costs about a tenth of ``as_strided``, which
-    only a strided state needs.
+    Axis 0 steps one element and spans all of ``amps``, even if larger than
+    the plan's register, so ``lat[s]`` is the window at any start. A plan
+    with ``run`` > 0 needs a unit-stride state; its elements are opaque runs
+    of ``2**run`` amplitudes, copied whole. A view on a contiguous state's
+    buffer costs about a tenth of ``as_strided``, which only a strided state
+    needs.
     """
     es = amps.strides[0] << plan.run
-    strides = tuple(es * step for step in plan.strides)
+    shape = ((amps.shape[0] >> plan.run) - plan.reach, *plan.shape)
+    strides = (es, *[es * step for step in plan.strides])
     if not amps.flags.c_contiguous:
-        return as_strided(amps, plan.shape, strides)
+        return as_strided(amps, shape, strides)
     dtype = np.dtype((np.void, es)) if plan.run else amps.dtype
-    return np.ndarray(plan.shape, dtype, amps, 0, strides)
+    return np.ndarray(shape, dtype, amps, 0, strides)
 
 
 def usable_cpus() -> int:
@@ -329,6 +335,11 @@ def _worker_count(count: int, threads: int) -> int:
     if threads <= 1 or count < 2 * _MIN_CHUNK:
         return 1
     return min(threads, usable_cpus(), count // _MIN_CHUNK)
+
+
+def _window(workers: int) -> int:
+    """Iterations per window of work that runs on ``workers`` workers at once."""
+    return _BLOCK if workers == 1 else _BLOCK << _WIDE_SHIFT
 
 
 @functools.cache
@@ -357,16 +368,14 @@ def _split(units: int, workers: int, walk: Callable[[int, int], int]) -> int:
     return sum(f.result() for f in futures)
 
 
-def _run_blocks(count: int, threads: int, body: Callable[[int], None]) -> int:
-    """Run body(w) on every ``_BLOCK``-iteration window ``w`` of
+def _run_blocks(count: int, window: int, workers: int, body: Callable[[int], None]) -> int:
+    """Run body(w) on every ``window``-iteration window ``w`` of
     ``[0, count)``; returns the total size of the windows run.
 
-    ``count`` is a power of two, so the windows tile ``[0, count)``. The
-    windows are split between ``_worker_count`` workers (``_split``).
-    Windows write disjoint pairs, so any split yields a bit-identical state.
+    Both are powers of two, so the windows tile ``[0, count)``. They are
+    split between ``workers`` workers (``_split``). Windows write disjoint
+    pairs, so any split yields a bit-identical state.
     """
-    window = min(count, _BLOCK)
-    workers = _worker_count(count, threads)
     if workers == 1:
         for w in range(count // window):
             body(w)
@@ -383,10 +392,47 @@ def _run_blocks(count: int, threads: int, body: Callable[[int], None]) -> int:
 @functools.lru_cache(maxsize=64)
 def _template(window: int, target: int) -> np.ndarray:
     """The baseline's first pair indices of the window at 0, read-only. Callers
-    pass ``min(target, bits)``: every higher target gives ``arange(window)``."""
+    pass ``min(target, bits)``: every higher target gives ``arange(window)``.
+    With windows of at most 16,384 iterations the cache's 64 take 3.4 MiB at most."""
     tpl = ith_cleared(np.arange(window, dtype=np.int64), target)
     tpl.flags.writeable = False
     return tpl
+
+
+def _resolve(amps: np.ndarray, bits: int, gate: GateOp, strategy: Strategy, window: int):
+    """Resolve ``gate``, whose qubits are below ``bits``, once for every
+    ``2**bits``-amplitude tile of ``amps``, in windows of ``window``
+    iterations. Returns ``step(w, tile=0)``, which runs window ``w`` on tile
+    ``tile``: the baseline adds the tile's offset to its indices, the
+    optimized kernel to a window start on a lattice over all of ``amps``."""
+    mat = _matrix_scalars(gate.matrix, amps.dtype)
+    if strategy is Strategy.BASELINE:
+        t = gate.target
+        stride = 1 << t
+        cmask = sum(1 << c for c in gate.controls)
+        plan = _plan(bits, t, (), window, False)
+        tpl = _template(window, min(t, window.bit_length() - 1))
+        starts = _window_starts(plan)
+
+        def step(w: int, tile: int = 0):
+            p1 = tpl + (starts[w] + (tile << bits))
+            p1 = p1[(p1 & cmask) == cmask]
+            if p1.size:
+                _update_pairs(amps, p1, p1 + stride, mat)
+
+        return step
+
+    swap = _is_swap(mat) and amps.flags.c_contiguous
+    plan = _plan(bits, gate.target, gate.controls, window, swap)
+    starts = _window_starts(plan)
+    lattice = _pair_lattice(amps, plan)
+    shift = bits - plan.run
+
+    def step(w: int, tile: int = 0):
+        s = starts[w] + (tile << shift)
+        _update_pairs(lattice, (s, 0), (s, 1), mat)
+
+    return step
 
 
 def baseline_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> int:
@@ -401,23 +447,7 @@ def baseline_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> int
     Returns the number of iterations visited (2**(n-1)), counted from the
     windows run.
     """
-    count = iteration_count(Strategy.BASELINE, state.num_qubits, gate)
-    t = gate.target
-    stride = 1 << t
-    cmask = sum(1 << c for c in gate.controls)
-    mat = _matrix_scalars(gate.matrix, state.amplitudes.dtype)
-    amps = state.amplitudes
-    plan = _plan(state.num_qubits, t, (), min(count, _BLOCK), False)
-    tpl = _template(plan.window, min(t, plan.window.bit_length() - 1))
-    starts = _window_starts(plan)
-
-    def body(w: int):
-        p1 = tpl + starts[w]
-        p1 = p1[(p1 & cmask) == cmask]
-        if p1.size:
-            _update_pairs(amps, p1, p1 + stride, mat)
-
-    return _run_blocks(count, threads, body)
+    return apply_gate(state, gate, Strategy.BASELINE, threads=threads)
 
 
 def optimized_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> int:
@@ -434,19 +464,7 @@ def optimized_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> in
 
     Returns the number of iterations executed, counted from the windows run.
     """
-    count = iteration_count(Strategy.OPTIMIZED, state.num_qubits, gate)
-    amps = state.amplitudes
-    mat = _matrix_scalars(gate.matrix, amps.dtype)
-    swap = _is_swap(mat) and amps.flags.c_contiguous
-    plan = _plan(state.num_qubits, gate.target, gate.controls, min(count, _BLOCK), swap)
-    starts = _window_starts(plan)
-    lattice = _pair_lattice(amps, plan)
-
-    def body(w: int):
-        s = starts[w]
-        _update_pairs(lattice, (s, 0), (s, 1), mat)
-
-    return _run_blocks(count, threads, body)
+    return apply_gate(state, gate, Strategy.OPTIMIZED, threads=threads)
 
 
 def apply_gate(
@@ -457,9 +475,11 @@ def apply_gate(
     threads: int = 1,
 ) -> int:
     """Execute one gate with the chosen strategy; returns iterations executed."""
-    if strategy is Strategy.BASELINE:
-        return baseline_apply(state, gate, threads=threads)
-    return optimized_apply(state, gate, threads=threads)
+    count = iteration_count(strategy, state.num_qubits, gate)
+    workers = _worker_count(count, threads)
+    window = min(count, _window(workers))
+    step = _resolve(state.amplitudes, state.num_qubits, gate, strategy, window)
+    return _run_blocks(count, window, workers, step)
 
 
 def _tile_groups(gates: list[GateOp], strategy: Strategy, bits: int) -> list[list[GateOp]]:
@@ -468,7 +488,8 @@ def _tile_groups(gates: list[GateOp], strategy: Strategy, bits: int) -> list[lis
     its own.
 
     A gate fits when all its qubits are below ``bits`` and it schedules at
-    least ``_BLOCK >> _JOIN_SHIFT`` iterations per tile, read on every call.
+    least ``_BLOCK >> _JOIN_SHIFT`` iterations per tile, read on every call
+    and the same for any number of workers.
     """
     groups: list[list[GateOp]] = []
     fits = False
@@ -490,28 +511,30 @@ def _apply_tiled(
     turn, every gate to one tile before the next tile; returns the
     iterations executed.
 
-    A tile is a contiguous slice of the state, wrapped as a ``bits``-qubit
-    state, and every qubit of the gates is below ``bits``. The tiles are
-    split between the workers the run's iterations call for (``_split``);
-    each tile's gates run on one thread, as a worker that waited on work it
-    submitted to its own pool could wait forever.
+    Every qubit of the gates is below ``bits``. Each gate is resolved once
+    for all tiles (``_resolve``), in windows sized by the workers the run's
+    iterations call for. The tiles are split between those workers
+    (``_split``); each tile's gates run on one thread, as a worker that
+    waited on work it submitted to its own pool could wait forever.
     """
     amps = state.amplitudes
-    size = 1 << bits
     tiles = amps.shape[0] >> bits
-    count = sum(iteration_count(strategy, state.num_qubits, gate) for gate in gates)
+    counts = [iteration_count(strategy, bits, gate) for gate in gates]
+    workers = min(_worker_count(sum(counts) * tiles, threads), tiles)
+    widest = _window(workers)
+    runs = []
+    for gate, count in zip(gates, counts):
+        window = min(count, widest)
+        runs.append((count // window, _resolve(amps, bits, gate, strategy, window)))
 
     def walk(lo: int, hi: int) -> int:
-        executed = 0
-        for c in range(lo, hi):
-            tile = StateVector(bits, amps[c * size : (c + 1) * size])
-            for gate in gates:
-                # Looked up as a module global on every call, so a wrapper
-                # installed on sched.apply_gate sees each (tile, gate).
-                executed += apply_gate(tile, gate, strategy)
-        return executed
+        for tile in range(lo, hi):
+            for windows, step in runs:
+                for w in range(windows):
+                    step(w, tile)
+        return (hi - lo) * sum(counts)
 
-    return _split(tiles, min(_worker_count(count, threads), tiles), walk)
+    return _split(tiles, workers, walk)
 
 
 def apply_circuit(
@@ -541,6 +564,7 @@ def apply_circuit(
             executed += _apply_tiled(state, group, strategy, threads, bits)
         else:
             # Looked up as a module global on every gate, so a wrapper
-            # installed on sched.apply_gate sees each call.
+            # installed on sched.apply_gate sees each gate run whole; the
+            # gates of tiled runs do not pass through it.
             executed += apply_gate(state, group[0], strategy, threads=threads)
     return executed

@@ -162,12 +162,13 @@ class TestRun:
         "n, precision, top_k, threads, needed",
         [
             (10, "double", 8, 1, (16 << 10) + (6 << 20) + (1 << 20)),
-            (10, "single", 8, 3, (8 << 10) + (6 << 20) + (3 << 20)),
+            # several workers take 2 MiB each, for their wider windows
+            (10, "single", 8, 3, (8 << 10) + (6 << 20) + (6 << 20)),
             # k is capped at the register; a larger k widens the chunk
             (10, "double", 70000, 1, (16 << 10) + (6 << 20) + (1 << 20)),
             (17, "double", 70000, 1, (16 << 17) + 70000 * 96 + (1 << 20)),
             # never more workers than CPUs
-            (17, "single", 0, 8, (8 << 17) + (6 << 20) + (4 << 20)),
+            (17, "single", 0, 8, (8 << 17) + (6 << 20) + (8 << 20)),
         ],
     )
     def test_memory_check_counts_state_chunk_and_workers(
@@ -207,24 +208,29 @@ class TestRun:
             path.write_text(text)
         assert svsched.cli._mem_available(str(path)) == expected
 
-    def test_working_set_figures_bound_the_traced_peaks(self):
+    def test_working_set_figures_bound_the_traced_peaks(self, monkeypatch):
         # the pre-flight figures must stay above what the code allocates
-        # beyond the state: one worker's gate, and the output pass per
-        # chunk amplitude, with k small and with k filling the chunk, on a
-        # random state and on one where every probability ties
+        # beyond the state: each worker's gate, on one worker and on two
+        # with their wider windows, and the output pass per chunk
+        # amplitude, with k small and with k filling the chunk, on a random
+        # state and on one where every probability ties
+        monkeypatch.setattr(svsched.sched, "usable_cpus", lambda: 2)
+        cli = svsched.cli
         rng = np.random.default_rng(7)
         for precision in ("double", "single"):
             state = new_state(18, precision)
             apply_circuit(state, Circuit(18, [named_gate("h", q) for q in range(18)]))
-            for gate in (named_gate("h", 9), named_gate("x", 9, (0, 3))):
+            for gate in (named_gate("h", 9), named_gate("x", 9, (0, 3)), named_gate("x", 17)):
                 for strategy in Strategy:
-                    tracemalloc.start()
-                    try:
-                        apply_gate(state, gate, strategy, threads=1)
-                        peak = tracemalloc.get_traced_memory()[1]
-                    finally:
-                        tracemalloc.stop()
-                    assert peak <= svsched.cli._WORKER_BYTES
+                    for threads in (1, 2):
+                        tracemalloc.start()
+                        try:
+                            apply_gate(state, gate, strategy, threads=threads)
+                            peak = tracemalloc.get_traced_memory()[1]
+                        finally:
+                            tracemalloc.stop()
+                        per_worker = cli._WORKER_BYTES if threads == 1 else cli._WIDE_WORKER_BYTES
+                        assert peak <= threads * per_worker, (gate, threads)
             dtype = state.amplitudes.dtype
             random = rng.standard_normal(1 << 18).astype(dtype)
             tied = np.full(1 << 18, 2**-9, dtype=dtype)  # every entry ties

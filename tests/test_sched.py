@@ -458,10 +458,10 @@ class TestBlocks:
     def test_circuit_threads_are_bit_identical(
         self, rng, monkeypatch, circuit, dtype, threads
     ):
-        # enough CPUs that 3 workers split the 32 windows of 2**17 iterations
-        # into ranges of different sizes
+        # enough CPUs that 3 workers split the 8 windows of 2**17 iterations,
+        # each of 4 * _BLOCK, into ranges of different sizes
         monkeypatch.setattr(sched, "usable_cpus", lambda: 4)
-        assert (1 << 17) // _BLOCK % 3
+        assert (1 << 17) // (4 * _BLOCK) % 3
         n = circuit.num_qubits
         state = StateVector(n, random_state(rng, n).amplitudes.astype(dtype))
         ref = state.copy()
@@ -662,20 +662,21 @@ class TestExecutedIndices:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_threaded_workers_run_whole_windows(self, monkeypatch, strategy):
-        # 3 workers split the 32 (baseline) or 8 (optimized) windows of the
-        # gate; 3 divides neither count, so the ranges differ in size
+        # 3 workers split the 8 (baseline) or 2 (optimized) windows of the
+        # gate, each of 4 * _BLOCK iterations, as work on several workers;
+        # 3 divides neither count, so the ranges differ in size
         monkeypatch.setattr(sched, "usable_cpus", lambda: 4)
         monkeypatch.setattr(sched, "_MIN_CHUNK", _BLOCK)
         rec = PairRecorder(monkeypatch)
         submitted, ran = [], []
         run_blocks = sched._run_blocks
 
-        def spy_run(count, threads, body):
+        def spy_run(count, window, workers, body):
             def traced(w):
                 ran.append(w)
                 body(w)
 
-            return run_blocks(count, threads, traced)
+            return run_blocks(count, window, workers, traced)
 
         class Pool(ThreadPoolExecutor):
             def submit(self, fn, *args):
@@ -686,7 +687,7 @@ class TestExecutedIndices:
         n, t, controls = 18, 9, (2, 14)
         gate = GateOp(gate_h(), t, controls)
         count = iteration_count(strategy, n, gate)
-        windows = count // _BLOCK
+        windows = count // (4 * _BLOCK)
         assert _worker_count(count, 3) == 3 and windows % 3
         state = new_state(n)
         rec.amps = state.amplitudes
@@ -923,20 +924,43 @@ def tiny_tiles(mp, bits, dtype):
     mp.setattr(sched, "_TILE_BYTES", np.dtype(dtype).itemsize << bits)
 
 
-class CallRecorder:
-    """Wraps ``sched.apply_gate`` as a tracer would: records the register
-    size, gate and result of every call."""
+class StepRecorder:
+    """Wraps ``sched._resolve``: records the block size, tile, gate and
+    iterations of every window the resolved gates run."""
 
     def __init__(self, monkeypatch):
-        self.calls = []
-        apply = sched.apply_gate
+        self.steps = []
+        resolve = sched._resolve
 
-        def spy(state, gate, *args, **kwargs):
-            executed = apply(state, gate, *args, **kwargs)
-            self.calls.append((state.num_qubits, gate, executed))
-            return executed
+        def spy(amps, bits, gate, strategy, window):
+            step = resolve(amps, bits, gate, strategy, window)
 
-        monkeypatch.setattr(sched, "apply_gate", spy)
+            def traced(w, tile=0):
+                step(w, tile)
+                self.steps.append((bits, tile, gate, window))
+
+            return traced
+
+        monkeypatch.setattr(sched, "_resolve", spy)
+
+    def runs(self):
+        """(bits, tile, gate, iterations) of each unbroken run of windows of
+        one gate on one tile, in the order run; for a single thread."""
+        runs = []
+        for bits, tile, gate, window in self.steps:
+            if runs and runs[-1][:2] == [bits, tile] and runs[-1][2] is gate:
+                runs[-1][3] += window
+            else:
+                runs.append([bits, tile, gate, window])
+        return [tuple(run) for run in runs]
+
+    def totals(self) -> dict:
+        """Iterations per (bits, tile, id(gate)), from any number of threads."""
+        totals = {}
+        for bits, tile, gate, window in self.steps:
+            key = bits, tile, id(gate)
+            totals[key] = totals.get(key, 0) + window
+        return totals
 
 
 class TestTiledRuns:
@@ -965,29 +989,34 @@ class TestTiledRuns:
             [g0, g1], [g2], [g3, g4, g5, g6]
         ]
         # runs go tile by tile, single gates whole; 4 tiles of 6 qubits
-        rec = CallRecorder(monkeypatch)
+        rec = StepRecorder(monkeypatch)
         monkeypatch.setattr(sched, "_TILE_BYTES", 16 << 4)
         apply_circuit(new_state(6), Circuit(6, gates), Strategy.OPTIMIZED)
         index = {id(gate): i for i, gate in enumerate(gates)}
-        order = [(n, index[id(gate)]) for n, gate, _ in rec.calls]
-        assert order == [(4, 0), (4, 1)] * 4 + [(6, 2), (6, 3), (6, 4)] + [(4, 5), (4, 6)] * 4
+        order = [(bits, tile, index[id(gate)]) for bits, tile, gate, _ in rec.runs()]
+        assert order == [
+            *[(4, tile, g) for tile in range(4) for g in (0, 1)],
+            (6, 0, 2), (6, 0, 3), (6, 0, 4),
+            *[(4, tile, g) for tile in range(4) for g in (5, 6)],
+        ]
         # a register no larger than a tile runs every gate whole
-        rec.calls.clear()
+        rec.steps.clear()
         apply_circuit(new_state(4), Circuit(4, gates[:2]), Strategy.OPTIMIZED)
-        assert [n for n, _, _ in rec.calls] == [4, 4]
+        assert [(bits, tile) for bits, tile, _, _ in rec.runs()] == [(4, 0), (4, 0)]
 
     def test_default_tile_is_one_mib(self, monkeypatch):
         # 2**16 double or 2**17 single amplitudes. Stream's gate k schedules
         # 2**(bits-1-k) iterations per tile, so gates 0-6 or 0-7 schedule at
         # least an eighth of a 4096-iteration window and join.
-        rec = CallRecorder(monkeypatch)
+        rec = StepRecorder(monkeypatch)
         for dtype, bits, joined in ((np.complex128, 16, 7), (np.complex64, 17, 8)):
-            rec.calls.clear()
+            rec.steps.clear()
             state = StateVector(18, np.zeros(1 << 18, dtype))
             apply_circuit(state, gen_streaming(18), Strategy.OPTIMIZED)
-            tiled = [gate.target for n, gate, _ in rec.calls if n == bits]
-            assert tiled == list(range(joined)) * (1 << (18 - bits))
-            assert [n for n, _, _ in rec.calls].count(18) == 18 - joined
+            runs = rec.runs()
+            tiled = [(tile, gate.target) for n, tile, gate, _ in runs if n == bits]
+            assert tiled == [(tile, k) for tile in range(1 << (18 - bits)) for k in range(joined)]
+            assert [n for n, _, _, _ in runs].count(18) == 18 - joined
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -1020,17 +1049,17 @@ class TestTiledRuns:
         tiled = [gate for group in groups if len(group) > 1 for gate in group]
         least = min(iteration_count(strategy, 5, gate) for gate in tiled)
         assert least < 16 or strategy is Strategy.BASELINE
-        rec = CallRecorder(monkeypatch)
+        rec = StepRecorder(monkeypatch)
         total = apply_circuit(new_state(n), circuit, strategy, threads=2)
         per_gate, calls = {}, {}
-        for size, gate, executed in rec.calls:
-            per_gate[id(gate)] = per_gate.get(id(gate), 0) + executed
-            calls[id(gate), size] = calls.get((id(gate), size), 0) + 1
+        for (size, _, gate), executed in rec.totals().items():
+            per_gate[gate] = per_gate.get(gate, 0) + executed
+            calls[gate, size] = calls.get((gate, size), 0) + 1
         assert [per_gate[id(g)] for g in circuit.gates] == [
             iteration_count(strategy, n, g) for g in circuit.gates
         ]
         assert total == sum(per_gate.values())
-        # every (tile, gate) of a run reaches sched.apply_gate; others run whole
+        # every (tile, gate) of a run runs its windows; others run whole
         untiled = [gate for group in groups if len(group) == 1 for gate in group]
         assert calls == {
             **{(id(g), 5): 1 << (n - 5) for g in tiled},
@@ -1054,14 +1083,15 @@ class TestTiledRuns:
                 return super().submit(fn, *args)
 
         tiny_tiles(monkeypatch, bits, amps.dtype)
-        rec = CallRecorder(monkeypatch)
+        rec = StepRecorder(monkeypatch)
         got = StateVector(n, amps.copy())
         with Pool(max_workers=3) as pool:
             monkeypatch.setattr(sched, "_pool", lambda: pool)
             executed = apply_circuit(got, circuit, threads=3)
         assert executed == sum(iteration_count(Strategy.OPTIMIZED, n, g) for g in circuit.gates)
         assert submitted == [(0, 10), (10, 21), (21, 32)]
-        assert len(rec.calls) == 3 * 32 and {size for size, _, _ in rec.calls} == {bits}
+        totals = rec.totals()
+        assert len(totals) == 3 * 32 and {size for size, _, _ in totals} == {bits}
         assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -1109,3 +1139,69 @@ class TestTiledRuns:
             apply_circuit(got, Circuit(n, gates), strategy, threads=threads)
         assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
         assert buf[1::2].tobytes() == gap.tobytes()
+
+
+class TestWorkerWindows:
+    """Work on one worker runs in windows of _BLOCK iterations, work on
+    several in windows of 4 * _BLOCK, with the real constants."""
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_plans_get_the_window_of_the_workers(self, monkeypatch, strategy):
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 2)
+        windows = []
+        plan = sched._plan
+
+        def spy(num_qubits, target, controls, window, swap):
+            windows.append((num_qubits, controls, window))
+            return plan(num_qubits, target, controls, window, swap)
+
+        monkeypatch.setattr(sched, "_plan", spy)
+        # one untiled gate of 2**17 iterations, then stream:18, whose gates
+        # 0-6 (optimized) or 0-15 (baseline) form a run on 16-qubit tiles
+        joined = 7 if strategy is Strategy.OPTIMIZED else 16
+        for threads, widest in ((1, _BLOCK), (2, 4 * _BLOCK)):
+            windows.clear()
+            apply_gate(new_state(18), GateOp(gate_h(), 9), strategy, threads=threads)
+            assert windows == [(18, (), widest)]
+            windows.clear()
+            apply_circuit(new_state(18), gen_streaming(18), strategy, threads=threads)
+            tiled = [w for n, _, w in windows if n == 16]
+            assert len(tiled) == joined and max(tiled) == widest
+            for n, controls, window in windows:
+                # an untiled gate of fewer than 2 * _MIN_CHUNK iterations
+                # runs on one worker
+                count = 1 << (n - 1 - len(controls))
+                several = n == 16 or count >= 2 * _MIN_CHUNK
+                assert window == min(count, widest if several else _BLOCK)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_tile_groups_do_not_depend_on_threads(self, monkeypatch, strategy):
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 2)
+        groups = []
+        tile_groups = sched._tile_groups
+
+        def spy(*args):
+            groups.append(tile_groups(*args))
+            return groups[-1]
+
+        monkeypatch.setattr(sched, "_tile_groups", spy)
+        for circuit in (gen_streaming(18), gen_qft(17)):
+            groups.clear()
+            for threads in (1, 2):
+                apply_circuit(new_state(circuit.num_qubits), circuit, strategy, threads=threads)
+            assert len(groups) == 2 and groups[0] == groups[1]
+            assert any(len(group) > 1 for group in groups[0])
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize(
+        "circuit", [gen_streaming(18), gen_qft(17)], ids=["stream18", "qft17"]
+    )
+    def test_one_and_two_threads_give_the_same_bytes(self, rng, monkeypatch, circuit, strategy):
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 2)
+        n = circuit.num_qubits
+        amps = random_state(rng, n).amplitudes
+        one, two = StateVector(n, amps.copy()), StateVector(n, amps.copy())
+        assert apply_circuit(one, circuit, strategy, threads=1) == apply_circuit(
+            two, circuit, strategy, threads=2
+        )
+        assert one.amplitudes.tobytes() == two.amplitudes.tobytes()
