@@ -24,11 +24,9 @@ from .sched import (
     adjusted_control,
     apply_circuit,
     apply_gate,
-    baseline_apply,
     control_satisfied,
     iteration_count,
     ith_cleared,
-    optimized_apply,
     pair_indices,
     reduced_to_global,
 )

@@ -5,13 +5,13 @@ A gate on target ``t`` over ``n`` qubits touches the state vector in
 its partner sits ``2**t`` higher. Controls only ever veto whole pairs, and
 each control halves the surviving set.
 
-Two interchangeable strategies execute a gate:
+Two interchangeable strategies (``Strategy``) execute a gate:
 
-* ``baseline_apply`` visits every one of the ``2**(n-1)`` iterations and
-  tests the controls per iteration before touching memory.
-* ``optimized_apply`` enumerates only the ``2**(n - n_c - 1)`` iterations
-  whose pairs satisfy all ``n_c`` controls, by mapping a reduced iteration
-  index back to the global one with per-control skip intervals
+* the baseline visits every one of the ``2**(n-1)`` iterations and tests
+  the controls per iteration before touching memory;
+* the optimized scheduler enumerates only the ``2**(n - n_c - 1)``
+  iterations whose pairs satisfy all ``n_c`` controls, by mapping a reduced
+  iteration index back to the global one with per-control skip intervals
   (``reduced_to_global``), and updates memory unconditionally.
 
 Both write each surviving amplitude exactly once per gate with the same
@@ -34,21 +34,25 @@ lock. Each window's temporaries are freed before the next, so a gate's
 working memory is O(window) per worker whatever the register size. Windows
 within one gate write disjoint pairs and may run on several workers.
 
-``apply_circuit`` applies gates in order, but groups each maximal run of two
-or more consecutive gates that fit a tile: every qubit of the gate is below
-``b``, where a tile of ``2**b`` amplitudes is ``_TILE_BYTES`` (1 MiB, so
-``b`` is 16 in double and 17 in single precision), and the gate schedules
-at least an eighth of a one-worker window per tile. Such a run is applied
-tile by tile, every gate of the run to one contiguous slice of the state
-before the next, so the state is swept once per run instead of once per
-gate. Each gate of a run is resolved once for every tile, at the tile's
+One executor (``_apply_run``) runs a run of gates over the tiles of the
+state: each gate's qubits are below ``b``, and a tile is ``2**b``
+amplitudes. ``apply_gate`` runs one gate whole, a run of one gate at ``b``
+equal to the register size, which is one tile. ``apply_circuit`` applies
+gates in order, but groups each maximal run of two or more consecutive
+gates that fit a tile: every qubit of the gate is below ``b``, the smaller
+of the register size and the qubits of a ``_TILE_BYTES`` (1 MiB) tile, 16
+in double and 17 in single precision, and the gate schedules at least an
+eighth of a one-worker window per tile. Such a run is applied tile by
+tile, every gate of the run to one contiguous slice of the state before the
+next, so the state is swept once per run instead of once per gate. Each
+gate of a run is resolved once for every tile, at the tile's
 geometry, and reaches tile ``c`` at a fixed offset into the state. Each
 gate's pairs lie within one tile, so every amplitude gets the same pair
 updates in the same order and the result is bit-identical to gate-by-gate
-application. Other gates, and registers of at most ``b`` qubits, run whole.
-Work that uses several workers, a gate's windows or a run's tiles, is split
-into one contiguous range per worker (``_split``) on one pool of at most
-one thread per usable CPU per process, made on first use (``_pool``).
+application. Other gates run whole. Work that uses several workers is split
+into one contiguous range per worker (``_split``) of whole units, the
+windows of a one-gate run or the tiles of a longer run, on one pool of at
+most one thread per usable CPU per process, made on first use (``_pool``).
 """
 
 from __future__ import annotations
@@ -161,6 +165,27 @@ def active_set_oracle(n: int, target: int, controls: tuple[int, ...]) -> set[int
 
 
 class Strategy(str, Enum):
+    """The two schedulers. Under either, ``apply_gate`` and
+    ``apply_circuit`` return the iterations run, counted from the windows
+    run, and the final states are bit-identical.
+
+    ``BASELINE`` visits all ``2**(n-1)`` iterations and tests each pair
+    against the gate's control mask, so each control is evaluated on every
+    iteration, as in a statically scheduled kernel, and only the pairs that
+    satisfy all controls are updated. A window's first pair indices are a
+    cached template plus the window's start, from the plan of the
+    uncontrolled gate.
+
+    ``OPTIMIZED`` schedules only the ``2**(n - n_c - 1)`` control-satisfying
+    iterations: each reduced index is mapped to its global iteration index
+    by ``reduced_to_global``, and the pair update runs unconditionally, so
+    every scheduled iteration does useful work. The mapping runs once per
+    distinct geometry (``_plan``), and gives the window starts and the
+    strides of two views of the state per window (``_pair_lattice``). A swap
+    on a unit-stride state moves runs of contiguous pairs as single
+    elements.
+    """
+
     BASELINE = "baseline"
     OPTIMIZED = "optimized"
 
@@ -368,27 +393,6 @@ def _split(units: int, workers: int, walk: Callable[[int, int], int]) -> int:
     return sum(f.result() for f in futures)
 
 
-def _run_blocks(count: int, window: int, workers: int, body: Callable[[int], None]) -> int:
-    """Run body(w) on every ``window``-iteration window ``w`` of
-    ``[0, count)``; returns the total size of the windows run.
-
-    Both are powers of two, so the windows tile ``[0, count)``. They are
-    split between ``workers`` workers (``_split``). Windows write disjoint
-    pairs, so any split yields a bit-identical state.
-    """
-    if workers == 1:
-        for w in range(count // window):
-            body(w)
-        return count
-
-    def walk(lo: int, hi: int) -> int:
-        for w in range(lo, hi):
-            body(w)
-        return (hi - lo) * window
-
-    return _split(count // window, workers, walk)
-
-
 @functools.lru_cache(maxsize=64)
 def _template(window: int, target: int) -> np.ndarray:
     """The baseline's first pair indices of the window at 0, read-only. Callers
@@ -402,7 +406,7 @@ def _template(window: int, target: int) -> np.ndarray:
 def _resolve(amps: np.ndarray, bits: int, gate: GateOp, strategy: Strategy, window: int):
     """Resolve ``gate``, whose qubits are below ``bits``, once for every
     ``2**bits``-amplitude tile of ``amps``, in windows of ``window``
-    iterations. Returns ``step(w, tile=0)``, which runs window ``w`` on tile
+    iterations. Returns ``step(w, tile)``, which runs window ``w`` on tile
     ``tile``: the baseline adds the tile's offset to its indices, the
     optimized kernel to a window start on a lattice over all of ``amps``."""
     mat = _matrix_scalars(gate.matrix, amps.dtype)
@@ -414,7 +418,7 @@ def _resolve(amps: np.ndarray, bits: int, gate: GateOp, strategy: Strategy, wind
         tpl = _template(window, min(t, window.bit_length() - 1))
         starts = _window_starts(plan)
 
-        def step(w: int, tile: int = 0):
+        def step(w: int, tile: int):
             p1 = tpl + (starts[w] + (tile << bits))
             p1 = p1[(p1 & cmask) == cmask]
             if p1.size:
@@ -428,43 +432,11 @@ def _resolve(amps: np.ndarray, bits: int, gate: GateOp, strategy: Strategy, wind
     lattice = _pair_lattice(amps, plan)
     shift = bits - plan.run
 
-    def step(w: int, tile: int = 0):
+    def step(w: int, tile: int):
         s = starts[w] + (tile << shift)
         _update_pairs(lattice, (s, 0), (s, 1), mat)
 
     return step
-
-
-def baseline_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> int:
-    """Execute a gate by visiting all 2**(n-1) iterations and checking controls.
-
-    Every iteration's pair is tested against the gate's control mask, so
-    each control is evaluated on every iteration, as in a statically
-    scheduled kernel, and only the pairs that satisfy all controls are
-    updated. A window's first pair indices are a cached template plus the
-    window's start, from the plan of the uncontrolled gate.
-
-    Returns the number of iterations visited (2**(n-1)), counted from the
-    windows run.
-    """
-    return apply_gate(state, gate, Strategy.BASELINE, threads=threads)
-
-
-def optimized_apply(state: StateVector, gate: GateOp, *, threads: int = 1) -> int:
-    """Execute a gate scheduling only the control-satisfying iterations.
-
-    Each of the 2**(n - n_c - 1) reduced indices is mapped to its global
-    iteration index by ``reduced_to_global``, and the pair update runs
-    unconditionally: every scheduled iteration does useful work. The mapping
-    runs once per distinct geometry (``_plan``), and gives the window starts
-    and the strides of two views of the state per window (see
-    ``_pair_lattice``); the final state is bit-identical to
-    ``baseline_apply``. A swap on a unit-stride state moves runs of
-    contiguous pairs as single elements.
-
-    Returns the number of iterations executed, counted from the windows run.
-    """
-    return apply_gate(state, gate, Strategy.OPTIMIZED, threads=threads)
 
 
 def apply_gate(
@@ -475,11 +447,7 @@ def apply_gate(
     threads: int = 1,
 ) -> int:
     """Execute one gate with the chosen strategy; returns iterations executed."""
-    count = iteration_count(strategy, state.num_qubits, gate)
-    workers = _worker_count(count, threads)
-    window = min(count, _window(workers))
-    step = _resolve(state.amplitudes, state.num_qubits, gate, strategy, window)
-    return _run_blocks(count, window, workers, step)
+    return _apply_run(state, [gate], strategy, threads, state.num_qubits)
 
 
 def _tile_groups(gates: list[GateOp], strategy: Strategy, bits: int) -> list[list[GateOp]]:
@@ -504,37 +472,54 @@ def _tile_groups(gates: list[GateOp], strategy: Strategy, bits: int) -> list[lis
     return groups
 
 
-def _apply_tiled(
+def _apply_run(
     state: StateVector, gates: list[GateOp], strategy: Strategy, threads: int, bits: int
 ) -> int:
     """Apply ``gates`` to each ``2**bits``-amplitude tile of the state in
     turn, every gate to one tile before the next tile; returns the
-    iterations executed.
+    iterations executed. A gate run whole is a run of one gate at ``bits``
+    equal to the register size: one tile.
 
     Every qubit of the gates is below ``bits``. Each gate is resolved once
     for all tiles (``_resolve``), in windows sized by the workers the run's
-    iterations call for. The tiles are split between those workers
-    (``_split``); each tile's gates run on one thread, as a worker that
-    waited on work it submitted to its own pool could wait forever.
+    iterations call for. Those workers split the run's units (``_split``).
+    A one-gate run's units are its windows, which write disjoint pairs. A
+    longer run's units are its tiles, so each tile's gates run in order on
+    one thread, as a worker that waited on work it submitted to its own
+    pool could wait forever.
     """
     amps = state.amplitudes
     tiles = amps.shape[0] >> bits
     counts = [iteration_count(strategy, bits, gate) for gate in gates]
-    workers = min(_worker_count(sum(counts) * tiles, threads), tiles)
+    total = sum(counts)
+    workers = _worker_count(total * tiles, threads)
+    if len(gates) > 1:
+        workers = min(workers, tiles)
     widest = _window(workers)
     runs = []
     for gate, count in zip(gates, counts):
         window = min(count, widest)
         runs.append((count // window, _resolve(amps, bits, gate, strategy, window)))
+    if len(gates) == 1:
+        (windows, step), = runs
+        units = tiles * windows
 
-    def walk(lo: int, hi: int) -> int:
-        for tile in range(lo, hi):
-            for windows, step in runs:
-                for w in range(windows):
-                    step(w, tile)
-        return (hi - lo) * sum(counts)
+        def walk(lo: int, hi: int) -> int:
+            for unit in range(lo, hi):
+                step(unit % windows, unit // windows)
+            return (hi - lo) * (total // windows)
 
-    return _split(tiles, workers, walk)
+    else:
+        units = tiles
+
+        def walk(lo: int, hi: int) -> int:
+            for tile in range(lo, hi):
+                for windows, step in runs:
+                    for w in range(windows):
+                        step(w, tile)
+            return (hi - lo) * total
+
+    return _split(units, workers, walk)
 
 
 def apply_circuit(
@@ -553,15 +538,12 @@ def apply_circuit(
         raise ValueError(
             f"circuit is over {circuit.num_qubits} qubits, state over {state.num_qubits}"
         )
-    bits = (_TILE_BYTES // state.amplitudes.itemsize).bit_length() - 1
-    if state.num_qubits <= bits:
-        groups = [[gate] for gate in circuit.gates]
-    else:
-        groups = _tile_groups(circuit.gates, strategy, bits)
+    tile = (_TILE_BYTES // state.amplitudes.itemsize).bit_length() - 1
+    bits = min(state.num_qubits, tile)
     executed = 0
-    for group in groups:
+    for group in _tile_groups(circuit.gates, strategy, bits):
         if len(group) > 1:
-            executed += _apply_tiled(state, group, strategy, threads, bits)
+            executed += _apply_run(state, group, strategy, threads, bits)
         else:
             # Looked up as a module global on every gate, so a wrapper
             # installed on sched.apply_gate sees each gate run whole; the

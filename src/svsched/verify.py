@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import GateMatrix, GateOp, StateVector
-from .sched import active_set_oracle, baseline_apply, optimized_apply, reduced_to_global
+from .sched import Strategy, active_set_oracle, apply_gate, reduced_to_global
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ def verify_equivalence(
         state = random_state(rng, n)
         s_base = state.copy()
         s_opt = state.copy()
-        baseline_apply(s_base, gate)
-        optimized_apply(s_opt, gate)
+        apply_gate(s_base, gate, Strategy.BASELINE)
+        apply_gate(s_opt, gate, Strategy.OPTIMIZED)
         if not np.array_equal(s_base.amplitudes, s_opt.amplitudes):
             worst = float(np.max(np.abs(s_base.amplitudes - s_opt.amplitudes)))
             mismatches.append(

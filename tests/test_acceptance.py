@@ -18,7 +18,7 @@ from svsched import (
     PowerModel,
     Strategy,
     apply_circuit,
-    baseline_apply,
+    apply_gate,
     energy,
     gen_cuccaro_adder,
     gen_qft,
@@ -27,7 +27,6 @@ from svsched import (
     iteration_count,
     new_state,
     norm_sq,
-    optimized_apply,
     parse_circuit,
     reduced_to_global,
     run_bench,
@@ -96,8 +95,8 @@ class TestCriterion2Equivalence:
             s_base = state.copy()
             s_opt = state
             for gate in gates:
-                baseline_apply(s_base, gate)
-                optimized_apply(s_opt, gate)
+                apply_gate(s_base, gate, Strategy.BASELINE)
+                apply_gate(s_opt, gate, Strategy.OPTIMIZED)
             if not np.array_equal(s_base.amplitudes, s_opt.amplitudes):
                 exact = False
                 worst = max(
@@ -125,7 +124,7 @@ class TestCriterion3IterationCounts:
                 others = [q for q in range(n) if q != t]
                 controls = tuple(sorted(rng.choice(others, size=n_c, replace=False))) if n_c else ()
                 gate = GateOp(random_gate_matrix(rng), t, controls)
-                executed = optimized_apply(state, gate)
+                executed = apply_gate(state, gate, Strategy.OPTIMIZED)
                 planned = iteration_count(Strategy.OPTIMIZED, n, gate)
                 per_gate_ok &= executed == planned == 1 << (n - n_c - 1)
 

@@ -10,6 +10,8 @@ from svsched import (
     GateOp,
     MAX_QUBITS,
     StateVector,
+    Strategy,
+    apply_gate,
     gate_h,
     gate_rm,
     gate_x,
@@ -17,7 +19,6 @@ from svsched import (
     gate_z,
     new_state,
     norm_sq,
-    optimized_apply,
 )
 from svsched.sched import _matrix_scalars, _update_pairs
 from conftest import basis_state
@@ -70,7 +71,7 @@ class TestNormSq:
 
     def test_after_hadamard(self):
         state = new_state(1)
-        optimized_apply(state, GateOp(gate_h(), 0))
+        apply_gate(state, GateOp(gate_h(), 0), Strategy.OPTIMIZED)
         assert norm_sq(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_built_state(self):

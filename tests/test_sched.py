@@ -22,7 +22,6 @@ from svsched import (
     adjusted_control,
     apply_circuit,
     apply_gate,
-    baseline_apply,
     control_satisfied,
     gate_h,
     gate_x,
@@ -33,7 +32,6 @@ from svsched import (
     ith_cleared,
     new_state,
     norm_sq,
-    optimized_apply,
     pair_indices,
     reduced_to_global,
 )
@@ -208,24 +206,24 @@ class TestIterationCounts:
     def test_apply_return_values_match_plans(self):
         state = new_state(6)
         gate = GateOp(gate_h(), 2, (0, 5))
-        assert baseline_apply(state, gate) == 1 << 5
-        assert optimized_apply(state, gate) == 1 << 3
+        assert apply_gate(state, gate, Strategy.BASELINE) == 1 << 5
+        assert apply_gate(state, gate, Strategy.OPTIMIZED) == 1 << 3
 
 
 class TestBaselineApply:
     def test_uncontrolled_x(self):
         state = new_state(3)
-        baseline_apply(state, GateOp(gate_x(), 0))
+        apply_gate(state, GateOp(gate_x(), 0), Strategy.BASELINE)
         np.testing.assert_array_equal(state.amplitudes, basis_state(3, 1).amplitudes)
 
     def test_unmet_control_is_identity(self):
         state = new_state(3)
-        baseline_apply(state, GateOp(gate_x(), 0, (1,)))
+        apply_gate(state, GateOp(gate_x(), 0, (1,)), Strategy.BASELINE)
         np.testing.assert_array_equal(state.amplitudes, basis_state(3, 0).amplitudes)
 
     def test_met_control_flips_target(self):
         state = basis_state(3, 0b010)
-        baseline_apply(state, GateOp(gate_x(), 0, (1,)))
+        apply_gate(state, GateOp(gate_x(), 0, (1,)), Strategy.BASELINE)
         np.testing.assert_array_equal(state.amplitudes, basis_state(3, 0b011).amplitudes)
 
     def test_matches_dense_oracle(self, rng):
@@ -233,7 +231,7 @@ class TestBaselineApply:
             gate = GateOp(random_gate_matrix(rng), t, controls)
             state = random_state(rng, n)
             expected = dense_apply(gate_to_dense(gate, n), state)
-            baseline_apply(state, gate)
+            apply_gate(state, gate, Strategy.BASELINE)
             np.testing.assert_allclose(
                 state.amplitudes, expected.amplitudes, atol=1e-10
             )
@@ -241,7 +239,7 @@ class TestBaselineApply:
     def test_out_of_range_gate_rejected(self):
         state = new_state(2)
         with pytest.raises(ValueError):
-            baseline_apply(state, GateOp(gate_x(), 5))
+            apply_gate(state, GateOp(gate_x(), 5), Strategy.BASELINE)
 
 
 class TestOptimizedApply:
@@ -249,16 +247,16 @@ class TestOptimizedApply:
         gate = GateOp(random_gate_matrix(rng), 3)
         a = random_state(rng, 5)
         b = a.copy()
-        baseline_apply(a, gate)
-        optimized_apply(b, gate)
+        apply_gate(a, gate, Strategy.BASELINE)
+        apply_gate(b, gate, Strategy.OPTIMIZED)
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
     def test_worked_two_control_case_runs_one_iteration(self, rng):
         gate = GateOp(random_gate_matrix(rng), 1, (0, 2))
         a = random_state(rng, 3)
         b = a.copy()
-        assert optimized_apply(a, gate) == 1
-        baseline_apply(b, gate)
+        assert apply_gate(a, gate, Strategy.OPTIMIZED) == 1
+        apply_gate(b, gate, Strategy.BASELINE)
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
     def test_bit_exact_equivalence_random_controlled_gates(self, rng):
@@ -273,8 +271,8 @@ class TestOptimizedApply:
             gate = GateOp(random_gate_matrix(rng), t, controls)
             a = random_state(rng, n)
             b = a.copy()
-            baseline_apply(a, gate)
-            optimized_apply(b, gate)
+            apply_gate(a, gate, Strategy.BASELINE)
+            apply_gate(b, gate, Strategy.OPTIMIZED)
             assert np.array_equal(a.amplitudes, b.amplitudes), (n, t, controls)
 
     def test_single_precision_equivalence(self, rng):
@@ -285,8 +283,8 @@ class TestOptimizedApply:
 
         a = StateVector(5, amps.copy())
         b = StateVector(5, amps.copy())
-        baseline_apply(a, gate)
-        optimized_apply(b, gate)
+        apply_gate(a, gate, Strategy.BASELINE)
+        apply_gate(b, gate, Strategy.OPTIMIZED)
         assert a.amplitudes.dtype == np.complex64
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
@@ -298,7 +296,7 @@ class TestInvariants:
             t = int(rng.integers(n))
             gate = GateOp(random_gate_matrix(rng), t)
             state = random_state(rng, n)
-            optimized_apply(state, gate)
+            apply_gate(state, gate, Strategy.OPTIMIZED)
             assert norm_sq(state) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -322,8 +320,8 @@ class TestThreading:
         gate = GateOp(random_gate_matrix(rng), 9, (2, 14))
         a = random_state(rng, 18)
         b = a.copy()
-        baseline_apply(a, gate, threads=1)
-        baseline_apply(b, gate, threads=threads)
+        apply_gate(a, gate, Strategy.BASELINE, threads=1)
+        apply_gate(b, gate, Strategy.BASELINE, threads=threads)
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
     @pytest.mark.parametrize("threads", [2, 5])
@@ -331,8 +329,8 @@ class TestThreading:
         gate = GateOp(random_gate_matrix(rng), 0, (17,))
         a = random_state(rng, 19)
         b = a.copy()
-        optimized_apply(a, gate, threads=1)
-        optimized_apply(b, gate, threads=threads)
+        apply_gate(a, gate, Strategy.OPTIMIZED, threads=1)
+        apply_gate(b, gate, Strategy.OPTIMIZED, threads=threads)
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -668,22 +666,14 @@ class TestExecutedIndices:
         monkeypatch.setattr(sched, "usable_cpus", lambda: 4)
         monkeypatch.setattr(sched, "_MIN_CHUNK", _BLOCK)
         rec = PairRecorder(monkeypatch)
-        submitted, ran = [], []
-        run_blocks = sched._run_blocks
-
-        def spy_run(count, window, workers, body):
-            def traced(w):
-                ran.append(w)
-                body(w)
-
-            return run_blocks(count, window, workers, traced)
+        steps = StepRecorder(monkeypatch)
+        submitted = []
 
         class Pool(ThreadPoolExecutor):
             def submit(self, fn, *args):
                 submitted.append(args)  # a worker's range of windows
                 return super().submit(fn, *args)
 
-        monkeypatch.setattr(sched, "_run_blocks", spy_run)
         n, t, controls = 18, 9, (2, 14)
         gate = GateOp(gate_h(), t, controls)
         count = iteration_count(strategy, n, gate)
@@ -696,7 +686,7 @@ class TestExecutedIndices:
             assert apply_gate(state, gate, strategy, threads=3) == count
         bounds = [windows * k // 3 for k in range(4)]
         assert submitted == list(zip(bounds, bounds[1:]))
-        assert sorted(ran) == list(range(windows))
+        assert sorted(w for _, _, _, _, w in steps.steps) == list(range(windows))
         got = np.sort(rec.first_indices(1 << t))
         assert np.array_equal(got, expected_pair_indices(strategy, n, t, controls))
 
@@ -829,9 +819,9 @@ class TestWarmGates:
     def test_high_targets_share_one_template(self):
         clear_caches()
         for t in (12, 14, 16):
-            baseline_apply(new_state(17), GateOp(gate_h(), t, (3,)))
+            apply_gate(new_state(17), GateOp(gate_h(), t, (3,)), Strategy.BASELINE)
         assert sched._template.cache_info().currsize == 1
-        baseline_apply(new_state(17), GateOp(gate_h(), 5))
+        apply_gate(new_state(17), GateOp(gate_h(), 5), Strategy.BASELINE)
         assert sched._template.cache_info().currsize == 2
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
@@ -925,8 +915,8 @@ def tiny_tiles(mp, bits, dtype):
 
 
 class StepRecorder:
-    """Wraps ``sched._resolve``: records the block size, tile, gate and
-    iterations of every window the resolved gates run."""
+    """Wraps ``sched._resolve``: records the block size, tile, gate,
+    iterations and index of every window the resolved gates run."""
 
     def __init__(self, monkeypatch):
         self.steps = []
@@ -935,9 +925,9 @@ class StepRecorder:
         def spy(amps, bits, gate, strategy, window):
             step = resolve(amps, bits, gate, strategy, window)
 
-            def traced(w, tile=0):
+            def traced(w, tile):
                 step(w, tile)
-                self.steps.append((bits, tile, gate, window))
+                self.steps.append((bits, tile, gate, window, w))
 
             return traced
 
@@ -947,7 +937,7 @@ class StepRecorder:
         """(bits, tile, gate, iterations) of each unbroken run of windows of
         one gate on one tile, in the order run; for a single thread."""
         runs = []
-        for bits, tile, gate, window in self.steps:
+        for bits, tile, gate, window, _ in self.steps:
             if runs and runs[-1][:2] == [bits, tile] and runs[-1][2] is gate:
                 runs[-1][3] += window
             else:
@@ -957,7 +947,7 @@ class StepRecorder:
     def totals(self) -> dict:
         """Iterations per (bits, tile, id(gate)), from any number of threads."""
         totals = {}
-        for bits, tile, gate, window in self.steps:
+        for bits, tile, gate, window, _ in self.steps:
             key = bits, tile, id(gate)
             totals[key] = totals.get(key, 0) + window
         return totals
@@ -999,7 +989,7 @@ class TestTiledRuns:
             (6, 0, 2), (6, 0, 3), (6, 0, 4),
             *[(4, tile, g) for tile in range(4) for g in (5, 6)],
         ]
-        # a register no larger than a tile runs every gate whole
+        # a register no larger than a tile is one tile
         rec.steps.clear()
         apply_circuit(new_state(4), Circuit(4, gates[:2]), Strategy.OPTIMIZED)
         assert [(bits, tile) for bits, tile, _, _ in rec.runs()] == [(4, 0), (4, 0)]
@@ -1114,7 +1104,7 @@ class TestTiledRuns:
     def test_random_circuits_equal_gate_by_gate(self, data):
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         bits = data.draw(st.integers(3, 5), label="tile bits")
-        n = data.draw(st.integers(bits + 1, 9), label="n")
+        n = data.draw(st.integers(bits, 9), label="n")
         size = data.draw(st.integers(2, 8), label="gates")
         threads = data.draw(st.sampled_from([1, 2, 3]), label="threads")
         dtype = data.draw(st.sampled_from([np.complex128, np.complex64]), label="dtype")
