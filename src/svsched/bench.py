@@ -137,6 +137,7 @@ def run_bench(
                 )
             executed_total += executed
         totals.append(time.perf_counter() - t_start)
+        del state  # so the next repetition's state does not coexist with it
 
     total = statistics.median(totals)
     return BenchReport(

@@ -28,7 +28,7 @@ from .circuits import (
     serialize_circuit,
 )
 from .core import MAX_QUBITS, PRECISION_DTYPES, CapacityError, Circuit, new_state, norm_sq
-from .sched import Strategy, apply_circuit, usable_cpus
+from .sched import Strategy, apply_circuit, usable_cpus, window_bytes
 from .verify import verify_equivalence, verify_mappings
 
 EXIT_OK = 0
@@ -44,18 +44,11 @@ THREADS_ENV_VAR = "SVSCHED_THREADS"
 # Amplitudes per chunk of top_amplitudes' pass (1 MiB of complex128).
 _CHUNK = 1 << 16
 
-# Working memory of run beyond the state, for the pre-flight check. Traced
-# with tracemalloc: top_amplitudes peaks at 16 bytes per chunk amplitude for
-# a small k and at 88 when k fills the chunk (2k candidates are merged). Window
-# temporaries peak with a double-precision h under the baseline: 424 KiB for
-# one worker's 4,096-iteration windows, and 2,708 KiB for two workers with
-# 16,384-iteration windows (the optimized h: 321 and 2,056 KiB). A
-# double-precision x on 20 qubits peaks at 132 KiB on one worker, both halves
-# of a window, whether it moves its pairs singly or in runs of 2**5 or 2**12
-# pairs.
+# Working memory of run's output pass per chunk amplitude, for the pre-flight
+# check (the window temporaries are sched.window_bytes). Traced with
+# tracemalloc: top_amplitudes peaks at 16 bytes per chunk amplitude for a
+# small k and at 88 when k fills the chunk (2k candidates are merged).
 _CHUNK_BYTES = 96
-_WORKER_BYTES = 1 << 20  # one worker
-_WIDE_WORKER_BYTES = 2 << 20  # each of several workers
 
 _GENERATORS = {"qft": gen_qft, "stream": gen_streaming, "sq": gen_squaring}
 
@@ -153,11 +146,10 @@ def _check_memory(num_qubits: int, precision: str, top_k: int, threads: int) -> 
     if num_qubits > MAX_QUBITS:
         return
     state = np.dtype(PRECISION_DTYPES[precision]).itemsize << num_qubits
-    workers = min(threads, usable_cpus())
     needed = (
         state
         + max(_CHUNK, min(top_k, 1 << num_qubits)) * _CHUNK_BYTES
-        + workers * (_WORKER_BYTES if workers == 1 else _WIDE_WORKER_BYTES)
+        + window_bytes(threads)
     )
     available = _mem_available()
     if available is not None and needed > available:
@@ -303,6 +295,8 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
+    if args.per_gate_timing and args.format != "json":
+        raise UsageError("--per-gate-timing needs --format json")
     name, circuit = load_circuit(args.source)
     models = dict(DEFAULT_POWER_MODELS)
     if args.power_config:
@@ -317,6 +311,7 @@ def cmd_bench(args) -> int:
             f"unknown power model {args.power!r}; have {', '.join(sorted(models))}"
         )
     power = models[args.power]
+    _check_memory(circuit.num_qubits, args.precision, 0, args.threads)
 
     strategies = (
         [Strategy.BASELINE, Strategy.OPTIMIZED]
@@ -410,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("-o", "--output", help="report path (default: stdout)")
     p_bench.add_argument("--precision", choices=["double", "single"], default="double")
     p_bench.add_argument("--threads", type=int, default=None)
-    p_bench.add_argument("--per-gate-timing", action="store_true")
+    p_bench.add_argument(
+        "--per-gate-timing", action="store_true", help="per-gate medians (needs --format json)"
+    )
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

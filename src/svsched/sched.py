@@ -16,16 +16,18 @@ Two interchangeable strategies (``Strategy``) execute a gate:
 
 Both write each surviving amplitude exactly once per gate with the same
 pair update (``_update_pairs``), so their results are bit-identical. A gate
-is resolved once (``_resolve``) into its scalars, window starts and plan
-(``_plan``): the mapping of every reduced bit, run once per (register size,
-target, controls, window size, swap) and kept in a cache of at most 1,024
-plans of O(n) ints and 16 window starts each. The optimized kernel updates
-a window through two strided views of the state, whose strides the plan
-gives (``_pair_lattice``); a swap on a unit-stride state views each run of
-contiguous pairs below the gate's qubits as one wide element, so numpy
+is resolved once (``_resolve``) into its scalars and window starts. The
+optimized kernel's plan (``_plan``) is the mapping of every reduced bit, run
+once per (register size, target, controls, window size, swap) and kept in a
+cache of at most 1,024 plans of O(n) ints each; a window starts at the
+plan's base plus the steps of the window index's bits. The optimized kernel
+updates a window through two strided views of the state, whose strides the
+plan gives (``_pair_lattice``); a swap on a unit-stride state views each run
+of contiguous pairs below the gate's qubits as one wide element, so numpy
 copies runs instead of single amplitudes. The baseline gathers a window's
 pairs by index arrays, a template cached per window size and target plus
-the window's start. A gate on a warm geometry builds only its views.
+the window's start, ``ith_cleared`` of the window's first iteration. A gate
+on a warm geometry builds only its views and its list of window starts.
 
 A gate runs in windows sized by the number of workers that run at once
 (``_window``): 4,096 iterations on one worker, four times that on several,
@@ -84,6 +86,16 @@ _BLOCK = 1 << 12
 # shifts 0-3 (medians of 21).
 _WIDE_SHIFT = 2
 
+# Bytes of window temporaries per worker (see window_bytes). Traced with
+# tracemalloc, they peak with a double-precision h under the baseline: 424
+# KiB for one worker's 4,096-iteration windows, and 2,708 KiB for two workers
+# with 16,384-iteration windows (the optimized h: 321 and 2,056 KiB). A
+# double-precision x on 20 qubits peaks at 132 KiB on one worker, both halves
+# of a window, whether it moves its pairs singly or in runs of 2**5 or 2**12
+# pairs.
+_WORKER_BYTES = 1 << 20  # one worker
+_WIDE_WORKER_BYTES = 2 << 20  # each of several workers
+
 # Bytes per tile of a tiled run of gates (see apply_circuit). On stream:22,
 # one thread, on a host with 2 MiB of L2 per core, tiles of 1 MiB beat
 # tiles of 256 KiB, 512 KiB, 2 MiB and 4 MiB.
@@ -93,10 +105,6 @@ _TILE_BYTES = 1 << 20
 # iterations per tile (see _tile_groups). Passes of stream:22 on one thread,
 # same host: 42.0, 36.3, 35.6, 35.5, 36.0 and 36.2 ms at shifts 0-5.
 _JOIN_SHIFT = 3
-
-# Window starts a plan keeps. A larger gate lists its starts on every call,
-# at about 50 ns a window, a fraction of a percent of the window's update.
-_KEPT_STARTS = 16
 
 
 def ith_cleared(i, t: int):
@@ -173,17 +181,17 @@ class Strategy(str, Enum):
     against the gate's control mask, so each control is evaluated on every
     iteration, as in a statically scheduled kernel, and only the pairs that
     satisfy all controls are updated. A window's first pair indices are a
-    cached template plus the window's start, from the plan of the
-    uncontrolled gate.
+    cached template plus the window's start, ``ith_cleared`` of its first
+    iteration.
 
     ``OPTIMIZED`` schedules only the ``2**(n - n_c - 1)`` control-satisfying
     iterations: each reduced index is mapped to its global iteration index
     by ``reduced_to_global``, and the pair update runs unconditionally, so
     every scheduled iteration does useful work. The mapping runs once per
-    distinct geometry (``_plan``), and gives the window starts and the
-    strides of two views of the state per window (``_pair_lattice``). A swap
-    on a unit-stride state moves runs of contiguous pairs as single
-    elements.
+    distinct geometry (``_plan``). Its steps give the window starts, built
+    on every call, and the strides of two views of the state per window
+    (``_pair_lattice``). A swap on a unit-stride state moves runs of
+    contiguous pairs as single elements.
     """
 
     BASELINE = "baseline"
@@ -257,17 +265,15 @@ class _Plan(NamedTuple):
     set bits of ``i`` (see ``_plan``). The other fields are in elements of
     ``2**run`` amplitudes: ``shape`` and ``strides`` lay one window of pairs
     over the state (see ``_pair_lattice``) and span ``reach`` elements past
-    its first, and ``starts`` begin its first windows.
+    its first.
     """
 
-    window: int
     base: int
     steps: tuple[int, ...]
     run: int
     shape: tuple[int, ...]
     strides: tuple[int, ...]
     reach: int
-    starts: tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -287,7 +293,7 @@ def _plan(num_qubits: int, target: int, controls: tuple[int, ...], window: int,
     qubits ``0..run-1`` are neither target nor control (and ``run`` is at
     most the window's bits), so each run of ``2**run`` pairs is one lattice
     element. Without ``swap``, ``run`` is 0. Lattice axes merge runs of
-    doubling steps. The plan keeps the first ``_KEPT_STARTS`` window starts.
+    doubling steps.
     """
     bits = window.bit_length() - 1
     reduced = num_qubits - 1 - len(controls)
@@ -307,22 +313,7 @@ def _plan(num_qubits: int, target: int, controls: tuple[int, ...], window: int,
         shape, strides = [1], [1]
     stride = 1 << (target - run)
     reach = stride + sum((size - 1) * step for size, step in zip(shape, strides))
-    starts = [base >> run]
-    for step in steps[bits : bits + _KEPT_STARTS.bit_length() - 1]:
-        starts += [s + (step >> run) for s in starts]
-    return _Plan(window, base, steps, run, (2, *shape[::-1]), (stride, *strides[::-1]), reach,
-                 tuple(starts))
-
-
-def _window_starts(plan: _Plan):
-    """The first pair index of every window, in elements of ``2**run``
-    amplitudes: ``base`` plus the steps of a window index's bits. A gate of
-    at most ``_KEPT_STARTS`` windows gets the plan's own tuple."""
-    starts = plan.starts
-    for step in plan.steps[plan.window.bit_length() + len(starts).bit_length() - 2 :]:
-        step >>= plan.run
-        starts = [*starts, *[s + step for s in starts]]
-    return starts
+    return _Plan(base, steps, run, (2, *shape[::-1]), (stride, *strides[::-1]), reach)
 
 
 def _pair_lattice(amps: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -365,6 +356,13 @@ def _worker_count(count: int, threads: int) -> int:
 def _window(workers: int) -> int:
     """Iterations per window of work that runs on ``workers`` workers at once."""
     return _BLOCK if workers == 1 else _BLOCK << _WIDE_SHIFT
+
+
+def window_bytes(threads: int) -> int:
+    """An upper bound on the window temporaries of work given ``threads``
+    threads: one worker's windows, or each of several workers' wider ones."""
+    workers = min(threads, usable_cpus())
+    return workers * (_WORKER_BYTES if workers == 1 else _WIDE_WORKER_BYTES)
 
 
 @functools.cache
@@ -410,16 +408,15 @@ def _resolve(amps: np.ndarray, bits: int, gate: GateOp, strategy: Strategy, wind
     ``tile``: the baseline adds the tile's offset to its indices, the
     optimized kernel to a window start on a lattice over all of ``amps``."""
     mat = _matrix_scalars(gate.matrix, amps.dtype)
+    wbits = window.bit_length() - 1
     if strategy is Strategy.BASELINE:
         t = gate.target
         stride = 1 << t
         cmask = sum(1 << c for c in gate.controls)
-        plan = _plan(bits, t, (), window, False)
-        tpl = _template(window, min(t, window.bit_length() - 1))
-        starts = _window_starts(plan)
+        tpl = _template(window, min(t, wbits))
 
         def step(w: int, tile: int):
-            p1 = tpl + (starts[w] + (tile << bits))
+            p1 = tpl + (ith_cleared(w * window, t) + (tile << bits))
             p1 = p1[(p1 & cmask) == cmask]
             if p1.size:
                 _update_pairs(amps, p1, p1 + stride, mat)
@@ -428,7 +425,9 @@ def _resolve(amps: np.ndarray, bits: int, gate: GateOp, strategy: Strategy, wind
 
     swap = _is_swap(mat) and amps.flags.c_contiguous
     plan = _plan(bits, gate.target, gate.controls, window, swap)
-    starts = _window_starts(plan)
+    starts = [plan.base >> plan.run]
+    for hop in plan.steps[wbits:]:
+        starts += [s + (hop >> plan.run) for s in starts]
     lattice = _pair_lattice(amps, plan)
     shift = bits - plan.run
 

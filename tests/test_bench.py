@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,18 @@ class TestRunBench:
         assert report.per_gate_times is not None
         assert len(report.per_gate_times) == 15
         assert all(t >= 0 for t in report.per_gate_times)
+
+    def test_repetitions_hold_one_state_at_a_time(self):
+        # a 16 MiB state: two alive at once would peak near 2x the state
+        circuit = gen_streaming(20)
+        state_bytes = 16 << 20
+        tracemalloc.start()
+        try:
+            run_bench(circuit, Strategy.OPTIMIZED, 3, DEFAULT_POWER_MODELS["cpu"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * state_bytes
 
     def test_off_plan_count_raises(self, monkeypatch):
         import svsched.bench

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svsched.bench
 import svsched.cli
 import svsched.verify
 from svsched import (
@@ -174,7 +175,7 @@ class TestRun:
     def test_memory_check_counts_state_chunk_and_workers(
         self, monkeypatch, n, precision, top_k, threads, needed
     ):
-        monkeypatch.setattr(svsched.cli, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(svsched.sched, "usable_cpus", lambda: 4)
         monkeypatch.setattr(svsched.cli, "_mem_available", lambda: needed)
         svsched.cli._check_memory(n, precision, top_k, threads)
         monkeypatch.setattr(svsched.cli, "_mem_available", lambda: needed - 1)
@@ -215,7 +216,6 @@ class TestRun:
         # amplitude, with k small and with k filling the chunk, on a random
         # state and on one where every probability ties
         monkeypatch.setattr(svsched.sched, "usable_cpus", lambda: 2)
-        cli = svsched.cli
         rng = np.random.default_rng(7)
         for precision in ("double", "single"):
             state = new_state(18, precision)
@@ -229,8 +229,7 @@ class TestRun:
                             peak = tracemalloc.get_traced_memory()[1]
                         finally:
                             tracemalloc.stop()
-                        per_worker = cli._WORKER_BYTES if threads == 1 else cli._WIDE_WORKER_BYTES
-                        assert peak <= threads * per_worker, (gate, threads)
+                        assert peak <= svsched.sched.window_bytes(threads), (gate, threads)
             dtype = state.amplitudes.dtype
             random = rng.standard_normal(1 << 18).astype(dtype)
             tied = np.full(1 << 18, 2**-9, dtype=dtype)  # every entry ties
@@ -378,6 +377,36 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "qft:4", "--power", "toaster")
         assert code == EXIT_USAGE
         assert "toaster" in err
+
+    def test_memory_check_refuses_before_allocating(self, capsys, monkeypatch):
+        def no_state(num_qubits, precision="double"):
+            raise AssertionError("new_state called")
+
+        monkeypatch.setattr(svsched.bench, "new_state", no_state)
+        monkeypatch.setattr(svsched.cli, "_mem_available", lambda: 1000)
+        code, out, err = run_cli(capsys, "bench", "stream:16", "--reps", "1")
+        assert code == EXIT_CAPACITY
+        assert out == ""
+        assert err.startswith("capacity error: run needs ")
+
+    def test_per_gate_timing_needs_json(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("bench work started")
+
+        monkeypatch.setattr(svsched.cli, "load_circuit", no_work)
+        monkeypatch.setattr(svsched.cli, "run_bench", no_work)
+        code, out, err = run_cli(
+            capsys, "bench", "qft:4", "--per-gate-timing", "--format", "csv"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --per-gate-timing needs --format json\n"
+        monkeypatch.undo()
+        code, out, _ = run_cli(
+            capsys, "bench", "qft:4", "--reps", "1", "--per-gate-timing", "--format", "json"
+        )
+        assert code == EXIT_OK
+        assert all(len(r["per_gate_times"]) == 10 for r in json.loads(out)["reports"])
 
     def test_squaring_bench_completes(self, capsys):
         code, out, _ = run_cli(

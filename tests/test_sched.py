@@ -729,21 +729,23 @@ class TestPlan:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_each_window_size_gets_its_own_plan(self, monkeypatch, strategy):
-        # the same gates under 8- and 4096-iteration windows in one process
+        # the same gates under 8- and 4096-iteration windows in one process;
+        # the baseline's plan is its index template
         n, t, controls = 14, 5, (2, 9)
         rec = PairRecorder(monkeypatch)
         want = expected_pair_indices(strategy, n, t, controls)
-        sched._plan.cache_clear()
+        cache = sched._plan if strategy is Strategy.OPTIMIZED else sched._template
+        cache.cache_clear()
         for block in (8, 4096):
             monkeypatch.setattr(sched, "_BLOCK", block)
-            misses = sched._plan.cache_info().misses
+            misses = cache.cache_info().misses
             for matrix in (gate_h(), gate_x()):
                 rec.seen.clear()
                 state = new_state(n)
                 rec.amps = state.amplitudes
                 apply_gate(state, GateOp(matrix, t, controls), strategy)
                 assert np.array_equal(rec.first_indices(1 << t), want), (block, matrix)
-            assert sched._plan.cache_info().misses > misses
+            assert cache.cache_info().misses > misses
 
     def test_thirty_qubit_plan_holds_o_n_ints(self):
         # built without a state; the mapping runs on 29 - 2 reduced bits only
@@ -755,17 +757,20 @@ class TestPlan:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
-        ints = [plan.window, plan.base, plan.run, *plan.steps, *plan.shape, *plan.strides,
-                *plan.starts]
+        ints = [plan.base, plan.run, *plan.steps, *plan.shape, *plan.strides]
         assert all(type(v) is int for v in ints)
         assert len(ints) <= 3 * n
         assert plan.base == (1 << 3) | (1 << 20)
         assert plan.steps == tuple(1 << q for q in range(n) if q not in (t, *controls))
         assert plan.run == 3  # qubits 0-2 are free: runs of 8 amplitudes
-        # the first of 2**15 windows, in elements of 8 amplitudes
-        first = np.arange(sched._KEPT_STARTS, dtype=np.int64) * _BLOCK
+        # the first 16 of 2**15 windows, in elements of 8 amplitudes, listed
+        # from the plan as _resolve lists them
+        starts = [plan.base >> plan.run]
+        for hop in plan.steps[_BLOCK.bit_length() - 1 :][:4]:
+            starts += [s + (hop >> plan.run) for s in starts]
+        first = np.arange(16, dtype=np.int64) * _BLOCK
         want = ith_cleared(reduced_to_global(first, t, controls), t) >> 3
-        assert plan.starts == tuple(want.tolist())
+        assert starts == want.tolist()
 
     def test_cache_is_bounded(self):
         # every cache of per-gate work, not only the plans
@@ -786,7 +791,8 @@ class TestWarmGates:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_second_call_builds_nothing(self, monkeypatch, strategy):
-        # 16 baseline or 4 optimized windows: the plan keeps all their starts
+        # 16 baseline or 4 optimized windows; only the baseline's window
+        # starts call ith_cleared, on ints, and the baseline has no plan
         calls = []
 
         def spy(name):
@@ -799,7 +805,7 @@ class TestWarmGates:
 
             monkeypatch.setattr(sched, name, wrapper)
 
-        for name in ("reduced_to_global", "ith_cleared", "_window_starts", "_matrix_scalars"):
+        for name in ("reduced_to_global", "ith_cleared", "_plan", "_matrix_scalars"):
             spy(name)
         for matrix in (gate_h(), gate_x()):
             gate = GateOp(matrix, 3, (0, 7))
@@ -810,10 +816,13 @@ class TestWarmGates:
             misses = [cache.cache_info().misses for cache in CACHES]
             apply_gate(state, gate, strategy)
             assert [cache.cache_info().misses for cache in CACHES] == misses
-            names = [name for name, _, _ in calls]
-            assert names == ["_matrix_scalars", "_window_starts"], matrix
-            (_, _, mat), (_, (plan,), starts) = calls
-            assert mat is first[0] and starts is plan.starts
+            (_, _, mat), *rest = calls
+            assert mat is first[0]
+            if strategy is Strategy.OPTIMIZED:
+                assert [name for name, _, _ in rest] == ["_plan"], matrix
+            else:
+                starts = [(w * _BLOCK, 3) for w in range(16)]
+                assert rest == [("ith_cleared", args, ith_cleared(*args)) for args in starts]
             calls.clear()
 
     def test_high_targets_share_one_template(self):
@@ -1139,28 +1148,27 @@ class TestWorkerWindows:
     def test_plans_get_the_window_of_the_workers(self, monkeypatch, strategy):
         monkeypatch.setattr(sched, "usable_cpus", lambda: 2)
         windows = []
-        plan = sched._plan
+        resolve = sched._resolve
 
-        def spy(num_qubits, target, controls, window, swap):
-            windows.append((num_qubits, controls, window))
-            return plan(num_qubits, target, controls, window, swap)
+        def spy(amps, bits, gate, kind, window):
+            windows.append((bits, iteration_count(kind, bits, gate), window))
+            return resolve(amps, bits, gate, kind, window)
 
-        monkeypatch.setattr(sched, "_plan", spy)
+        monkeypatch.setattr(sched, "_resolve", spy)
         # one untiled gate of 2**17 iterations, then stream:18, whose gates
         # 0-6 (optimized) or 0-15 (baseline) form a run on 16-qubit tiles
         joined = 7 if strategy is Strategy.OPTIMIZED else 16
         for threads, widest in ((1, _BLOCK), (2, 4 * _BLOCK)):
             windows.clear()
             apply_gate(new_state(18), GateOp(gate_h(), 9), strategy, threads=threads)
-            assert windows == [(18, (), widest)]
+            assert windows == [(18, 1 << 17, widest)]
             windows.clear()
             apply_circuit(new_state(18), gen_streaming(18), strategy, threads=threads)
             tiled = [w for n, _, w in windows if n == 16]
             assert len(tiled) == joined and max(tiled) == widest
-            for n, controls, window in windows:
+            for n, count, window in windows:
                 # an untiled gate of fewer than 2 * _MIN_CHUNK iterations
                 # runs on one worker
-                count = 1 << (n - 1 - len(controls))
                 several = n == 16 or count >= 2 * _MIN_CHUNK
                 assert window == min(count, widest if several else _BLOCK)
 
