@@ -23,7 +23,6 @@ from .circuits import (
     gen_qft,
     gen_squaring,
     gen_streaming,
-    named_gate,
     parse_circuit,
     serialize_circuit,
 )
@@ -139,23 +138,22 @@ def _mem_available(path: str = "/proc/meminfo") -> int | None:
     return None
 
 
-def _check_memory(num_qubits: int, precision: str, top_k: int, threads: int) -> None:
-    """Raise CapacityError unless the state of a ``run``, its output chunk and
-    every worker's window temporaries fit in MemAvailable; skipped when that
-    cannot be read, and for registers above the cap, which new_state rejects."""
+def _check_memory(num_qubits: int, precision: str, top_k: int | None, threads: int) -> None:
+    """Raise CapacityError unless the state, ``run``'s output chunk and every
+    worker's window temporaries fit in MemAvailable; skipped when that
+    cannot be read, and for registers above the cap, which new_state rejects.
+    ``top_k`` is None for ``bench``, which prints no amplitudes."""
     if num_qubits > MAX_QUBITS:
         return
     state = np.dtype(PRECISION_DTYPES[precision]).itemsize << num_qubits
-    needed = (
-        state
-        + max(_CHUNK, min(top_k, 1 << num_qubits)) * _CHUNK_BYTES
-        + window_bytes(threads)
-    )
+    needed = state + window_bytes(threads)
+    if top_k is not None:
+        needed += max(_CHUNK, min(top_k, 1 << num_qubits)) * _CHUNK_BYTES
     available = _mem_available()
     if available is not None and needed > available:
         raise CapacityError(
-            f"run needs {needed} bytes ({state} of state), "
-            f"{available} bytes are available"
+            f"{'bench' if top_k is None else 'run'} needs {needed} bytes "
+            f"({state} of state), {available} bytes are available"
         )
 
 
@@ -218,8 +216,8 @@ def cmd_run(args) -> int:
     _check_memory(circuit.num_qubits, args.precision, args.top_k, args.threads)
     state = new_state(circuit.num_qubits, args.precision)
 
+    k = _squaring_width(circuit.num_qubits)
     if args.input is not None:
-        k = _squaring_width(circuit.num_qubits)
         if k is None:
             raise UsageError(
                 f"--input needs the squaring layout (3k+2 qubits), circuit has "
@@ -227,12 +225,9 @@ def cmd_run(args) -> int:
             )
         if not 0 <= args.input < (1 << k):
             raise UsageError(f"--input {args.input} does not fit a {k}-bit input register")
-        # X-prep each set bit of the requested value; not counted as circuit work.
-        prep = Circuit(
-            circuit.num_qubits,
-            [named_gate("x", bit) for bit in range(k) if (args.input >> bit) & 1],
-        )
-        apply_circuit(state, prep, strategy, threads=args.threads)
+        # The basis state of the requested value; not counted as circuit work.
+        state.amplitudes[0] = 0
+        state.amplitudes[args.input] = 1
 
     executed = apply_circuit(state, circuit, strategy, threads=args.threads)
 
@@ -254,7 +249,6 @@ def cmd_run(args) -> int:
         )
 
     dominant = int(top[0])
-    k = _squaring_width(circuit.num_qubits)
     if args.input is not None and k is not None:
         in_reg = dominant & ((1 << k) - 1)
         out_reg = (dominant >> k) & ((1 << (2 * k)) - 1)
@@ -311,7 +305,7 @@ def cmd_bench(args) -> int:
             f"unknown power model {args.power!r}; have {', '.join(sorted(models))}"
         )
     power = models[args.power]
-    _check_memory(circuit.num_qubits, args.precision, 0, args.threads)
+    _check_memory(circuit.num_qubits, args.precision, None, args.threads)
 
     strategies = (
         [Strategy.BASELINE, Strategy.OPTIMIZED]
@@ -373,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--input",
         type=int,
         default=None,
-        help="prepare a squaring circuit's input register to this value with X gates",
+        help="start a squaring circuit with this value in its input register",
     )
     p_run.add_argument(
         "--dump", help=f"write the full state to a file (n <= {DUMP_MAX_QUBITS})"

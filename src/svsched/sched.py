@@ -47,14 +47,14 @@ in double and 17 in single precision, and the gate schedules at least an
 eighth of a one-worker window per tile. Such a run is applied tile by
 tile, every gate of the run to one contiguous slice of the state before the
 next, so the state is swept once per run instead of once per gate. Each
-gate of a run is resolved once for every tile, at the tile's
-geometry, and reaches tile ``c`` at a fixed offset into the state. Each
-gate's pairs lie within one tile, so every amplitude gets the same pair
-updates in the same order and the result is bit-identical to gate-by-gate
-application. Other gates run whole. Work that uses several workers is split
-into one contiguous range per worker (``_split``) of whole units, the
-windows of a one-gate run or the tiles of a longer run, on one pool of at
-most one thread per usable CPU per process, made on first use (``_pool``).
+gate of a run is resolved once over the whole state, and tile ``c`` runs
+its ``k`` windows per tile from window ``c*k``. Each gate's pairs lie
+within one tile, so every amplitude gets the same pair updates in the same
+order and the result is bit-identical to gate-by-gate application. Other
+gates run whole. Work that uses several workers is split into one
+contiguous range per worker (``_split``) of whole units, the windows of a
+one-gate run or the tiles of a longer run, on one pool of at most one
+thread per usable CPU per process, made on first use (``_pool``).
 """
 
 from __future__ import annotations
@@ -401,12 +401,11 @@ def _template(window: int, target: int) -> np.ndarray:
     return tpl
 
 
-def _resolve(amps: np.ndarray, bits: int, gate: GateOp, strategy: Strategy, window: int):
-    """Resolve ``gate``, whose qubits are below ``bits``, once for every
-    ``2**bits``-amplitude tile of ``amps``, in windows of ``window``
-    iterations. Returns ``step(w, tile)``, which runs window ``w`` on tile
-    ``tile``: the baseline adds the tile's offset to its indices, the
-    optimized kernel to a window start on a lattice over all of ``amps``."""
+def _resolve(amps: np.ndarray, gate: GateOp, strategy: Strategy, window: int):
+    """Resolve ``gate`` once, in windows of ``window`` iterations over all of
+    ``amps``. Returns ``step(w)``, which runs window ``w``: the baseline's
+    starts at ``ith_cleared(w * window, t)``, the optimized kernel's at
+    ``starts[w]`` on a lattice over all of ``amps``."""
     mat = _matrix_scalars(gate.matrix, amps.dtype)
     wbits = window.bit_length() - 1
     if strategy is Strategy.BASELINE:
@@ -415,8 +414,8 @@ def _resolve(amps: np.ndarray, bits: int, gate: GateOp, strategy: Strategy, wind
         cmask = sum(1 << c for c in gate.controls)
         tpl = _template(window, min(t, wbits))
 
-        def step(w: int, tile: int):
-            p1 = tpl + (ith_cleared(w * window, t) + (tile << bits))
+        def step(w: int):
+            p1 = tpl + ith_cleared(w * window, t)
             p1 = p1[(p1 & cmask) == cmask]
             if p1.size:
                 _update_pairs(amps, p1, p1 + stride, mat)
@@ -424,15 +423,15 @@ def _resolve(amps: np.ndarray, bits: int, gate: GateOp, strategy: Strategy, wind
         return step
 
     swap = _is_swap(mat) and amps.flags.c_contiguous
-    plan = _plan(bits, gate.target, gate.controls, window, swap)
+    num_qubits = amps.shape[0].bit_length() - 1
+    plan = _plan(num_qubits, gate.target, gate.controls, window, swap)
     starts = [plan.base >> plan.run]
     for hop in plan.steps[wbits:]:
         starts += [s + (hop >> plan.run) for s in starts]
     lattice = _pair_lattice(amps, plan)
-    shift = bits - plan.run
 
-    def step(w: int, tile: int):
-        s = starts[w] + (tile << shift)
+    def step(w: int):
+        s = starts[w]
         _update_pairs(lattice, (s, 0), (s, 1), mat)
 
     return step
@@ -480,12 +479,14 @@ def _apply_run(
     equal to the register size: one tile.
 
     Every qubit of the gates is below ``bits``. Each gate is resolved once
-    for all tiles (``_resolve``), in windows sized by the workers the run's
-    iterations call for. Those workers split the run's units (``_split``).
-    A one-gate run's units are its windows, which write disjoint pairs. A
-    longer run's units are its tiles, so each tile's gates run in order on
-    one thread, as a worker that waited on work it submitted to its own
-    pool could wait forever.
+    over the whole state (``_resolve``), in windows sized by the workers the
+    run's iterations call for, ``k`` windows per tile. Tile ``c`` is a
+    gate's windows ``c*k`` to ``(c+1)*k - 1``: the reduced index's bits from
+    the tile's iterations up map to the qubits at and above ``bits``. The
+    workers split the run's units (``_split``). A one-gate run's units are
+    its windows, which write disjoint pairs. A longer run's units are its
+    tiles, so each tile's gates run in order on one thread, as a worker
+    that waited on work it submitted to its own pool could wait forever.
     """
     amps = state.amplitudes
     tiles = amps.shape[0] >> bits
@@ -498,27 +499,25 @@ def _apply_run(
     runs = []
     for gate, count in zip(gates, counts):
         window = min(count, widest)
-        runs.append((count // window, _resolve(amps, bits, gate, strategy, window)))
+        runs.append((count // window, _resolve(amps, gate, strategy, window)))
     if len(gates) == 1:
         (windows, step), = runs
-        units = tiles * windows
 
         def walk(lo: int, hi: int) -> int:
-            for unit in range(lo, hi):
-                step(unit % windows, unit // windows)
+            for w in range(lo, hi):
+                step(w)
             return (hi - lo) * (total // windows)
 
-    else:
-        units = tiles
+        return _split(windows, workers, walk)
 
-        def walk(lo: int, hi: int) -> int:
-            for tile in range(lo, hi):
-                for windows, step in runs:
-                    for w in range(windows):
-                        step(w, tile)
-            return (hi - lo) * total
+    def walk(lo: int, hi: int) -> int:
+        for tile in range(lo, hi):
+            for k, step in runs:
+                for w in range(tile * k, (tile + 1) * k):
+                    step(w)
+        return (hi - lo) * total
 
-    return _split(units, workers, walk)
+    return _split(tiles, workers, walk)
 
 
 def apply_circuit(

@@ -128,7 +128,7 @@ class TestCriterion3IterationCounts:
                 planned = iteration_count(Strategy.OPTIMIZED, n, gate)
                 per_gate_ok &= executed == planned == 1 << (n - n_c - 1)
 
-        # run_bench re-asserts the law on every gate of every repetition
+        # run_bench re-asserts the law, summed over the gates, on every repetition
         opt = run_bench(
             gen_streaming(20), Strategy.OPTIMIZED, 1, DEFAULT_POWER_MODELS["fpga"]
         )

@@ -143,12 +143,35 @@ class TestRunBench:
     def test_off_plan_count_raises(self, monkeypatch):
         import svsched.bench
 
-        real = svsched.bench.apply_gate
+        real = svsched.bench.apply_circuit
         monkeypatch.setattr(
-            svsched.bench, "apply_gate", lambda *a, **kw: real(*a, **kw) - 1
+            svsched.bench, "apply_circuit", lambda *a, **kw: real(*a, **kw) - 1
         )
         with pytest.raises(RuntimeError, match="off its plan"):
             run_bench(gen_qft(3), Strategy.OPTIMIZED, 1, DEFAULT_POWER_MODELS["cpu"])
+
+    @pytest.mark.parametrize("per_gate_timing", [False, True])
+    def test_each_repetition_is_one_apply_circuit_call(self, monkeypatch, per_gate_timing):
+        import svsched.bench
+
+        calls = {"apply_circuit": 0, "apply_gate": 0}
+        for name in calls:
+            real = getattr(svsched.bench, name)
+
+            def counted(*a, _real=real, _name=name, **kw):
+                calls[_name] += 1
+                return _real(*a, **kw)
+
+            monkeypatch.setattr(svsched.bench, name, counted)
+        circuit = gen_streaming(6)
+        report = run_bench(
+            circuit, Strategy.OPTIMIZED, 3, DEFAULT_POWER_MODELS["cpu"],
+            per_gate_timing=per_gate_timing,
+        )
+        assert calls["apply_circuit"] == 3
+        # gates are applied alone only to time them one by one
+        assert calls["apply_gate"] == (3 * len(circuit.gates) if per_gate_timing else 0)
+        assert report.iterations_executed == (1 << 6) - 1
 
     def test_reps_validation(self):
         with pytest.raises(ValueError):

@@ -387,7 +387,21 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", "stream:16", "--reps", "1")
         assert code == EXIT_CAPACITY
         assert out == ""
-        assert err.startswith("capacity error: run needs ")
+        assert err.startswith("capacity error: bench needs ")
+
+    def test_memory_check_leaves_out_the_output_chunk(self, capsys, monkeypatch):
+        # bench prints no amplitudes: the state and one worker's 1 MiB only,
+        # without run's 6 MiB output chunk
+        monkeypatch.setattr(svsched.sched, "usable_cpus", lambda: 4)
+        needed = (16 << 10) + (1 << 20)
+        monkeypatch.setattr(svsched.cli, "_mem_available", lambda: needed)
+        svsched.cli._check_memory(10, "double", None, 1)
+        code, _, _ = run_cli(capsys, "bench", "qft:10", "--threads", "1", "--reps", "1")
+        assert code == EXIT_OK
+        assert run_cli(capsys, "run", "qft:10", "--threads", "1")[0] == EXIT_CAPACITY
+        monkeypatch.setattr(svsched.cli, "_mem_available", lambda: needed - 1)
+        with pytest.raises(CapacityError, match=f"^bench needs {needed} bytes"):
+            svsched.cli._check_memory(10, "double", None, 1)
 
     def test_per_gate_timing_needs_json(self, capsys, monkeypatch):
         def no_work(*args, **kwargs):

@@ -924,22 +924,35 @@ def tiny_tiles(mp, bits, dtype):
 
 
 class StepRecorder:
-    """Wraps ``sched._resolve``: records the block size, tile, gate,
-    iterations and index of every window the resolved gates run."""
+    """Wraps ``sched._apply_run`` and ``sched._resolve``: records the tile
+    bits, tile, gate, iterations and index within the tile of every window
+    the resolved gates run, and the tile bits, iterations per tile and
+    window of every gate resolved."""
 
     def __init__(self, monkeypatch):
         self.steps = []
-        resolve = sched._resolve
+        self.resolved = []
+        apply_run, resolve = sched._apply_run, sched._resolve
+        run_bits = []
 
-        def spy(amps, bits, gate, strategy, window):
-            step = resolve(amps, bits, gate, strategy, window)
+        def run_spy(state, gates, strategy, threads, bits):
+            run_bits.append(bits)
+            return apply_run(state, gates, strategy, threads, bits)
 
-            def traced(w, tile):
-                step(w, tile)
-                self.steps.append((bits, tile, gate, window, w))
+        def spy(amps, gate, strategy, window):
+            step = resolve(amps, gate, strategy, window)
+            bits = run_bits[-1]
+            count = iteration_count(strategy, bits, gate)
+            self.resolved.append((bits, count, window))
+            k = count // window  # windows per tile
+
+            def traced(w):
+                step(w)
+                self.steps.append((bits, w // k, gate, window, w % k))
 
             return traced
 
+        monkeypatch.setattr(sched, "_apply_run", run_spy)
         monkeypatch.setattr(sched, "_resolve", spy)
 
     def runs(self):
@@ -1147,14 +1160,7 @@ class TestWorkerWindows:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_plans_get_the_window_of_the_workers(self, monkeypatch, strategy):
         monkeypatch.setattr(sched, "usable_cpus", lambda: 2)
-        windows = []
-        resolve = sched._resolve
-
-        def spy(amps, bits, gate, kind, window):
-            windows.append((bits, iteration_count(kind, bits, gate), window))
-            return resolve(amps, bits, gate, kind, window)
-
-        monkeypatch.setattr(sched, "_resolve", spy)
+        windows = StepRecorder(monkeypatch).resolved
         # one untiled gate of 2**17 iterations, then stream:18, whose gates
         # 0-6 (optimized) or 0-15 (baseline) form a run on 16-qubit tiles
         joined = 7 if strategy is Strategy.OPTIMIZED else 16
