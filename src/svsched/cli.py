@@ -181,7 +181,11 @@ def load_circuit(source: str) -> tuple[str, Circuit]:
             f"{source!r} is neither a circuit file nor a generator spec "
             f"({'/'.join(_GENERATORS)}:<n>)"
         )
-    return path.stem, parse_circuit(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{source!r} is not UTF-8 text: {exc}") from None
+    return path.stem, parse_circuit(text)
 
 
 def _basis_label(index: int, n: int) -> str:
@@ -312,10 +316,8 @@ def cmd_bench(args) -> int:
         if args.schedulers == "both"
         else [Strategy(args.schedulers)]
     )
-    reports = []
-    by_strategy = {}
-    for strategy in strategies:
-        report = run_bench(
+    reports = [
+        run_bench(
             circuit,
             strategy,
             args.reps,
@@ -325,8 +327,8 @@ def cmd_bench(args) -> int:
             threads=args.threads,
             per_gate_timing=args.per_gate_timing,
         )
-        reports.append(report)
-        by_strategy[strategy] = report
+        for strategy in strategies
+    ]
 
     text = emit_report(reports, args.format)
     if args.output:
@@ -334,11 +336,9 @@ def cmd_bench(args) -> int:
     else:
         sys.stdout.write(text)
 
-    if len(strategies) == 2:
-        ratio = (
-            by_strategy[Strategy.OPTIMIZED].total_time_seconds
-            / by_strategy[Strategy.BASELINE].total_time_seconds
-        )
+    if len(reports) == 2:
+        baseline, optimized = reports
+        ratio = optimized.total_time_seconds / baseline.total_time_seconds
         print(f"optimized/baseline time ratio: {ratio:.4f}", file=sys.stderr)
     return EXIT_OK
 
@@ -412,18 +412,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if hasattr(args, "threads"):
-        try:
+    try:
+        if hasattr(args, "threads"):
             if args.threads is None:
                 args.threads = default_threads()
             elif args.threads < 1:
                 raise UsageError(f"--threads must be >= 1, got {args.threads}")
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, CircuitParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:
@@ -433,12 +429,6 @@ def main(argv: list[str] | None = None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"capacity error: out of memory{detail}", file=sys.stderr)
         return EXIT_CAPACITY
-    except CircuitParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

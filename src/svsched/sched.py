@@ -51,10 +51,11 @@ gate of a run is resolved once over the whole state, and tile ``c`` runs
 its ``k`` windows per tile from window ``c*k``. Each gate's pairs lie
 within one tile, so every amplitude gets the same pair updates in the same
 order and the result is bit-identical to gate-by-gate application. Other
-gates run whole. Work that uses several workers is split into one
-contiguous range per worker (``_split``) of whole units, the windows of a
-one-gate run or the tiles of a longer run, on one pool of at most one
-thread per usable CPU per process, made on first use (``_pool``).
+gates run whole. The executor walks units, the tiles of a run, or the
+windows of a lone gate on several workers; work that uses several workers
+is split into one contiguous range of whole units per worker (``_split``),
+on one pool of at most one thread per usable CPU per process, made on first
+use (``_pool``).
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ def active_set_oracle(n: int, target: int, controls: tuple[int, ...]) -> set[int
 class Strategy(str, Enum):
     """The two schedulers. Under either, ``apply_gate`` and
     ``apply_circuit`` return the iterations run, counted from the windows
-    run, and the final states are bit-identical.
+    run, and the final states are bit-identical. They and ``iteration_count``
+    take a member or its value; any other value raises ValueError.
 
     ``BASELINE`` visits all ``2**(n-1)`` iterations and tests each pair
     against the gate's control mask, so each control is evaluated on every
@@ -207,7 +209,7 @@ def iteration_count(strategy: Strategy, num_qubits: int, gate: GateOp) -> int:
     top = max((gate.target, *gate.controls))
     if top >= num_qubits:
         raise ValueError(f"qubit {top} out of range for a {num_qubits}-qubit register")
-    n_c = len(gate.controls) if strategy is Strategy.OPTIMIZED else 0
+    n_c = len(gate.controls) if Strategy(strategy) is Strategy.OPTIMIZED else 0
     return 1 << (num_qubits - 1 - n_c)
 
 
@@ -376,8 +378,8 @@ os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _split(units: int, workers: int, walk: Callable[[int, int], int]) -> int:
-    """Run ``walk(lo, hi)`` over the units ``[0, units)`` and return the sum
-    of what it returns.
+    """Run ``walk(lo, hi)`` over the units ``[0, units)``, the tiles of a run
+    or a threaded lone gate's windows, and return the sum of what it returns.
 
     One worker walks every unit on the calling thread. Several get one
     contiguous range of whole units each, run on ``_pool()``; the call
@@ -445,7 +447,7 @@ def apply_gate(
     threads: int = 1,
 ) -> int:
     """Execute one gate with the chosen strategy; returns iterations executed."""
-    return _apply_run(state, [gate], strategy, threads, state.num_qubits)
+    return _apply_run(state, [gate], Strategy(strategy), threads, state.num_qubits)
 
 
 def _tile_groups(gates: list[GateOp], strategy: Strategy, bits: int) -> list[list[GateOp]]:
@@ -483,41 +485,37 @@ def _apply_run(
     run's iterations call for, ``k`` windows per tile. Tile ``c`` is a
     gate's windows ``c*k`` to ``(c+1)*k - 1``: the reduced index's bits from
     the tile's iterations up map to the qubits at and above ``bits``. The
-    workers split the run's units (``_split``). A one-gate run's units are
-    its windows, which write disjoint pairs. A longer run's units are its
-    tiles, so each tile's gates run in order on one thread, as a worker
-    that waited on work it submitted to its own pool could wait forever.
+    workers split the run's units (``_split``), its tiles, so each tile's
+    gates run in order on one thread, as a worker that waited on work it
+    submitted to its own pool could wait forever. A lone gate on one worker
+    runs its one tile's windows in one loop on the calling thread. A lone
+    gate on several workers has its windows as units, one window per unit,
+    as they write disjoint pairs.
     """
     amps = state.amplitudes
-    tiles = amps.shape[0] >> bits
+    units = amps.shape[0] >> bits
     counts = [iteration_count(strategy, bits, gate) for gate in gates]
-    total = sum(counts)
-    workers = _worker_count(total * tiles, threads)
+    total = sum(counts) * units
+    workers = _worker_count(total, threads)
     if len(gates) > 1:
-        workers = min(workers, tiles)
+        workers = min(workers, units)
     widest = _window(workers)
     runs = []
     for gate, count in zip(gates, counts):
         window = min(count, widest)
         runs.append((count // window, _resolve(amps, gate, strategy, window)))
-    if len(gates) == 1:
-        (windows, step), = runs
-
-        def walk(lo: int, hi: int) -> int:
-            for w in range(lo, hi):
-                step(w)
-            return (hi - lo) * (total // windows)
-
-        return _split(windows, workers, walk)
+    if workers > units:  # a lone gate's windows, split over the workers
+        (k, step), = runs
+        units, runs = units * k, [(1, step)]
 
     def walk(lo: int, hi: int) -> int:
         for tile in range(lo, hi):
             for k, step in runs:
                 for w in range(tile * k, (tile + 1) * k):
                     step(w)
-        return (hi - lo) * total
+        return (hi - lo) * total // units
 
-    return _split(tiles, workers, walk)
+    return _split(units, workers, walk)
 
 
 def apply_circuit(
@@ -536,6 +534,7 @@ def apply_circuit(
         raise ValueError(
             f"circuit is over {circuit.num_qubits} qubits, state over {state.num_qubits}"
         )
+    strategy = Strategy(strategy)
     tile = (_TILE_BYTES // state.amplitudes.itemsize).bit_length() - 1
     bits = min(state.num_qubits, tile)
     executed = 0

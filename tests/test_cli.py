@@ -455,6 +455,14 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert "line 2" in err
 
+    def test_circuit_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.qc"
+        path.write_bytes(b"qubits 2\nh 0\n\xff\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err and "UTF-8" in err
+
     def test_bad_power_config(self, capsys, tmp_path):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("nonsense\n")

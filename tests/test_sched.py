@@ -209,6 +209,30 @@ class TestIterationCounts:
         assert apply_gate(state, gate, Strategy.BASELINE) == 1 << 5
         assert apply_gate(state, gate, Strategy.OPTIMIZED) == 1 << 3
 
+    @pytest.mark.parametrize("n", [4, 14])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_value_strings_run_as_their_members(self, rng, strategy, n):
+        gate = GateOp(random_gate_matrix(rng), 0, (1,))
+        circuit = Circuit(n, [gate, GateOp(gate_h(), 2), GateOp(gate_x(), 1, (3,))])
+        start = random_state(rng, n)
+        for run in (
+            lambda state, how: apply_gate(state, gate, how),
+            lambda state, how: apply_circuit(state, circuit, how),
+        ):
+            a, b = start.copy(), start.copy()
+            assert run(a, strategy) == run(b, strategy.value)
+            assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+        assert iteration_count(strategy.value, n, gate) == iteration_count(strategy, n, gate)
+
+    def test_unknown_strategy_name_raises(self):
+        gate = GateOp(gate_x(), 0, (1,))
+        with pytest.raises(ValueError, match="bogus"):
+            apply_gate(new_state(4), gate, "bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            apply_circuit(new_state(4), Circuit(4, [gate]), "bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            iteration_count("bogus", 4, gate)
+
 
 class TestBaselineApply:
     def test_uncontrolled_x(self):
@@ -689,6 +713,33 @@ class TestExecutedIndices:
         assert sorted(w for _, _, _, _, w in steps.steps) == list(range(windows))
         got = np.sort(rec.first_indices(1 << t))
         assert np.array_equal(got, expected_pair_indices(strategy, n, t, controls))
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_one_worker_runs_every_window_in_order_on_the_caller(
+        self, monkeypatch, strategy, threads
+    ):
+        # 8-iteration windows: the gate runs 16 (baseline) or 8 (optimized),
+        # too few iterations for a second worker at any thread count
+        monkeypatch.setattr(sched, "_BLOCK", 8)
+        monkeypatch.setattr(sched, "_pool", lambda: pytest.fail("a one-worker gate used the pool"))
+        resolve = sched._resolve
+        ran = []
+
+        def spy(amps, gate, strategy, window):
+            step = resolve(amps, gate, strategy, window)
+
+            def traced(w):
+                ran.append((threading.get_ident(), w))
+                step(w)
+
+            return traced
+
+        monkeypatch.setattr(sched, "_resolve", spy)
+        n, gate = 8, GateOp(gate_h(), 3, (6,))
+        count = iteration_count(strategy, n, gate)
+        assert apply_gate(new_state(n), gate, strategy, threads=threads) == count
+        assert ran == [(threading.get_ident(), w) for w in range(count // 8)]
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize("strategy", list(Strategy))
