@@ -3,6 +3,9 @@
 Energy is modeled as wall-clock execution time multiplied by a device's rated
 power draw. Bundled ratings: fpga 25 W, cpu 160 W, gpu 250 W; a config file of
 ``device.power_watts = <value>`` lines can add or override devices.
+
+Report columns come from ``BenchReport``: every field but ``per_gate_times``
+(JSON only), in order, each written and read back by its annotated type.
 """
 
 from __future__ import annotations
@@ -12,27 +15,13 @@ import io
 import json
 import statistics
 import time
+import typing
 from dataclasses import dataclass
 
 from .core import Circuit, new_state
 from .sched import Strategy, apply_circuit, apply_gate, iteration_count
 
 REPORT_SCHEMA_VERSION = "1"
-
-#: Emitted columns, in order. per_gate_times is carried by JSON only.
-CSV_COLUMNS = (
-    "schema_version",
-    "circuit_name",
-    "num_qubits",
-    "scheduler",
-    "repetitions",
-    "total_time_seconds",
-    "iterations_executed",
-    "device_name",
-    "power_watts",
-    "energy_joules",
-)
-
 
 @dataclass(frozen=True)
 class PowerModel:
@@ -95,6 +84,12 @@ class BenchReport:
     per_gate_times: list[float] | None = None  # per-gate medians, when timed
 
 
+#: Each report column's type, in order, after schema_version.
+_COLUMN_TYPES = typing.get_type_hints(BenchReport)
+del _COLUMN_TYPES["per_gate_times"]  # carried by JSON only
+CSV_COLUMNS = ("schema_version", *_COLUMN_TYPES)
+
+
 def run_bench(
     circuit: Circuit,
     strategy: Strategy,
@@ -108,7 +103,7 @@ def run_bench(
 ) -> BenchReport:
     """Execute the circuit ``reps`` times from a fresh |0...0> state, timing
     each repetition's ``apply_circuit`` call on the monotonic wall clock, and
-    report the median total.
+    report the median total. ``strategy`` is a member or its value.
 
     Each repetition's executed-iteration count, as the scheduler reports it
     from the work it ran, is checked against the law summed over the gates
@@ -120,6 +115,7 @@ def run_bench(
     """
     if reps < 1:
         raise ValueError("need at least one repetition")
+    strategy = Strategy(strategy)
     planned = sum(iteration_count(strategy, circuit.num_qubits, g) for g in circuit.gates)
 
     totals = []
@@ -160,18 +156,11 @@ def _fmt(value: float) -> str:
 
 
 def _row(report: BenchReport) -> dict:
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "circuit_name": report.circuit_name,
-        "num_qubits": report.num_qubits,
-        "scheduler": report.scheduler,
-        "repetitions": report.repetitions,
-        "total_time_seconds": _fmt(report.total_time_seconds),
-        "iterations_executed": report.iterations_executed,
-        "device_name": report.device_name,
-        "power_watts": _fmt(report.power_watts),
-        "energy_joules": _fmt(report.energy_joules),
-    }
+    row = {"schema_version": REPORT_SCHEMA_VERSION}
+    for name, kind in _COLUMN_TYPES.items():
+        value = getattr(report, name)
+        row[name] = _fmt(value) if kind is float else value
+    return row
 
 
 def emit_report(reports: list[BenchReport], fmt: str = "csv") -> str:
@@ -203,22 +192,12 @@ def parse_report(text: str, fmt: str = "csv") -> list[BenchReport]:
         rows = json.loads(text)["reports"]
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    reports = []
-    for row in rows:
-        reports.append(
-            BenchReport(
-                circuit_name=row["circuit_name"],
-                num_qubits=int(row["num_qubits"]),
-                scheduler=row["scheduler"],
-                repetitions=int(row["repetitions"]),
-                total_time_seconds=float(row["total_time_seconds"]),
-                iterations_executed=int(row["iterations_executed"]),
-                device_name=row["device_name"],
-                power_watts=float(row["power_watts"]),
-                energy_joules=float(row["energy_joules"]),
-                per_gate_times=[float(t) for t in row["per_gate_times"]]
-                if row.get("per_gate_times")
-                else None,
-            )
+    return [
+        BenchReport(
+            **{name: kind(row[name]) for name, kind in _COLUMN_TYPES.items()},
+            per_gate_times=[float(t) for t in row["per_gate_times"]]
+            if row.get("per_gate_times")
+            else None,
         )
-    return reports
+        for row in rows
+    ]

@@ -311,11 +311,7 @@ def cmd_bench(args) -> int:
     power = models[args.power]
     _check_memory(circuit.num_qubits, args.precision, None, args.threads)
 
-    strategies = (
-        [Strategy.BASELINE, Strategy.OPTIMIZED]
-        if args.schedulers == "both"
-        else [Strategy(args.schedulers)]
-    )
+    strategies = list(Strategy) if args.schedulers == "both" else [Strategy(args.schedulers)]
     reports = [
         run_bench(
             circuit,
@@ -386,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time a circuit and report energy")
     p_bench.add_argument("source", help="circuit file or generator spec")
     p_bench.add_argument(
-        "--schedulers", choices=["baseline", "optimized", "both"], default="both"
+        "--schedulers", choices=[*(s.value for s in Strategy), "both"], default="both"
     )
     p_bench.add_argument("--reps", type=int, default=5)
     p_bench.add_argument(

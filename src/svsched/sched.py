@@ -174,10 +174,10 @@ def active_set_oracle(n: int, target: int, controls: tuple[int, ...]) -> set[int
 
 
 class Strategy(str, Enum):
-    """The two schedulers. Under either, ``apply_gate`` and
-    ``apply_circuit`` return the iterations run, counted from the windows
-    run, and the final states are bit-identical. They and ``iteration_count``
-    take a member or its value; any other value raises ValueError.
+    """The two schedulers. Under either, ``apply_gate`` and ``apply_circuit``
+    return the iterations run, summed over the windows that ran, and the
+    final states are bit-identical. They and ``iteration_count`` take a
+    member or its value; any other value raises ValueError.
 
     ``BASELINE`` visits all ``2**(n-1)`` iterations and tests each pair
     against the gate's control mask, so each control is evaluated on every
@@ -477,8 +477,8 @@ def _apply_run(
 ) -> int:
     """Apply ``gates`` to each ``2**bits``-amplitude tile of the state in
     turn, every gate to one tile before the next tile; returns the
-    iterations executed. A gate run whole is a run of one gate at ``bits``
-    equal to the register size: one tile.
+    iterations executed, summed over the windows that ran. A gate run whole
+    is a run of one gate at ``bits`` equal to the register size: one tile.
 
     Every qubit of the gates is below ``bits``. Each gate is resolved once
     over the whole state (``_resolve``), in windows sized by the workers the
@@ -495,25 +495,26 @@ def _apply_run(
     amps = state.amplitudes
     units = amps.shape[0] >> bits
     counts = [iteration_count(strategy, bits, gate) for gate in gates]
-    total = sum(counts) * units
-    workers = _worker_count(total, threads)
+    workers = _worker_count(sum(counts) * units, threads)
     if len(gates) > 1:
         workers = min(workers, units)
     widest = _window(workers)
     runs = []
     for gate, count in zip(gates, counts):
         window = min(count, widest)
-        runs.append((count // window, _resolve(amps, gate, strategy, window)))
+        runs.append((count // window, _resolve(amps, gate, strategy, window), window))
     if workers > units:  # a lone gate's windows, split over the workers
-        (k, step), = runs
-        units, runs = units * k, [(1, step)]
+        (k, step, window), = runs
+        units, runs = units * k, [(1, step, window)]
 
     def walk(lo: int, hi: int) -> int:
+        executed = 0
         for tile in range(lo, hi):
-            for k, step in runs:
+            for k, step, window in runs:
                 for w in range(tile * k, (tile + 1) * k):
                     step(w)
-        return (hi - lo) * total // units
+                    executed += window
+        return executed
 
     return _split(units, workers, walk)
 

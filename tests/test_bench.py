@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -177,6 +179,100 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench(gen_qft(3), Strategy.OPTIMIZED, 0, DEFAULT_POWER_MODELS["cpu"])
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_value_string_reports_as_its_member(self, strategy):
+        power = DEFAULT_POWER_MODELS["fpga"]
+        by_value, by_member = (
+            run_bench(gen_qft(3), s, 2, power, per_gate_timing=True)
+            for s in (strategy.value, strategy)
+        )
+        untimed = {"total_time_seconds": 0.0, "energy_joules": 0.0, "per_gate_times": None}
+        assert replace(by_value, **untimed) == replace(by_member, **untimed)
+        assert by_value.scheduler == strategy.value
+        assert len(by_value.per_gate_times) == len(gen_qft(3).gates)
+
+    def test_unknown_strategy_name_raises_before_any_run(self, monkeypatch):
+        import svsched.bench
+
+        def never(*a, **kw):
+            raise AssertionError("apply_circuit called")
+
+        monkeypatch.setattr(svsched.bench, "apply_circuit", never)
+        with pytest.raises(ValueError, match="fastest"):
+            run_bench(gen_qft(3), "fastest", 1, DEFAULT_POWER_MODELS["fpga"])
+
+
+# Schema v1 as emitted for _pinned_reports, byte for byte.
+_PINNED_CSV = """\
+schema_version,circuit_name,num_qubits,scheduler,repetitions,total_time_seconds,iterations_executed,device_name,power_watts,energy_joules
+1,qft4,4,baseline,1,1.5,48,"odd,device",7.77778,11.6667
+1,stream5,5,baseline,2,2,80,cpu,160,320
+1,stream5,5,optimized,3,0.000123457,31,fpga,25,0.00308642
+"""
+
+_PINNED_JSON = """\
+{
+  "schema_version": "1",
+  "reports": [
+    {
+      "schema_version": "1",
+      "circuit_name": "qft4",
+      "num_qubits": 4,
+      "scheduler": "baseline",
+      "repetitions": 1,
+      "total_time_seconds": "1.5",
+      "iterations_executed": 48,
+      "device_name": "odd,device",
+      "power_watts": "7.77778",
+      "energy_joules": "11.6667"
+    },
+    {
+      "schema_version": "1",
+      "circuit_name": "stream5",
+      "num_qubits": 5,
+      "scheduler": "baseline",
+      "repetitions": 2,
+      "total_time_seconds": "2",
+      "iterations_executed": 80,
+      "device_name": "cpu",
+      "power_watts": "160",
+      "energy_joules": "320",
+      "per_gate_times": []
+    },
+    {
+      "schema_version": "1",
+      "circuit_name": "stream5",
+      "num_qubits": 5,
+      "scheduler": "optimized",
+      "repetitions": 3,
+      "total_time_seconds": "0.000123457",
+      "iterations_executed": 31,
+      "device_name": "fpga",
+      "power_watts": "25",
+      "energy_joules": "0.00308642",
+      "per_gate_times": [
+        "1.23457e-05",
+        "2e-06",
+        "0.5"
+      ]
+    }
+  ]
+}
+"""
+
+
+def _pinned_reports():
+    """Fixed reports: an int power rating, a device name the CSV must quote,
+    and per_gate_times absent, empty and present."""
+    return [
+        BenchReport(
+            "stream5", 5, "optimized", 3, 0.000123456789, 31, "fpga", 25, 0.003086419725,
+            per_gate_times=[1.23456789e-05, 2e-06, 0.5],
+        ),
+        BenchReport("qft4", 4, "baseline", 1, 1.5, 48, "odd,device", 7.777777, 11.6666655),
+        BenchReport("stream5", 5, "baseline", 2, 2.0, 80, "cpu", 160.0, 320.0, per_gate_times=[]),
+    ]
+
 
 class TestEmitReport:
     def _reports(self):
@@ -215,6 +311,25 @@ class TestEmitReport:
         text = emit_report([report], "csv")
         row = text.strip().split("\n")[1].split(",")
         assert row[8] == "7.77778"
+
+    def test_schema_v1_header_and_key_order(self):
+        header = _PINNED_CSV.split("\n")[0]
+        assert emit_report(self._reports(), "csv").split("\n")[0] == header
+        report = run_bench(
+            gen_qft(3), Strategy.OPTIMIZED, 1, DEFAULT_POWER_MODELS["fpga"], per_gate_timing=True
+        )
+        (row,) = json.loads(emit_report([report], "json"))["reports"]
+        assert list(row) == header.split(",") + ["per_gate_times"]
+
+    def test_schema_v1_bytes(self):
+        assert emit_report(_pinned_reports(), "csv") == _PINNED_CSV
+        assert emit_report(_pinned_reports(), "json") == _PINNED_JSON
+        back = parse_report(_PINNED_JSON, "json")
+        assert [r.power_watts for r in back] == [7.77778, 160.0, 25.0]
+        assert [r.per_gate_times for r in back] == [None, None, [1.23457e-05, 2e-06, 0.5]]
+        assert parse_report(_PINNED_CSV, "csv") == [
+            replace(r, per_gate_times=None) for r in back
+        ]
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
