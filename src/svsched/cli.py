@@ -192,11 +192,6 @@ def _basis_label(index: int, n: int) -> str:
     return "|" + format(index, f"0{n}b") + ">"
 
 
-def _squaring_width(num_qubits: int) -> int | None:
-    k, rem = divmod(num_qubits - 2, 3)
-    return k if rem == 0 and k >= 1 else None
-
-
 def cmd_gen(args) -> int:
     _, circuit = load_circuit(args.spec)
     text = serialize_circuit(circuit)
@@ -220,13 +215,10 @@ def cmd_run(args) -> int:
     _check_memory(circuit.num_qubits, args.precision, args.top_k, args.threads)
     state = new_state(circuit.num_qubits, args.precision)
 
-    k = _squaring_width(circuit.num_qubits)
     if args.input is not None:
-        if k is None:
-            raise UsageError(
-                f"--input needs the squaring layout (3k+2 qubits), circuit has "
-                f"{circuit.num_qubits}"
-            )
+        if not args.source.startswith("sq:"):
+            raise UsageError(f"--input needs a squaring circuit, sq:<k>, not {args.source!r}")
+        k = int(args.source[3:])
         if not 0 <= args.input < (1 << k):
             raise UsageError(f"--input {args.input} does not fit a {k}-bit input register")
         # The basis state of the requested value; not counted as circuit work.
@@ -253,7 +245,7 @@ def cmd_run(args) -> int:
         )
 
     dominant = int(top[0])
-    if args.input is not None and k is not None:
+    if args.input is not None:
         in_reg = dominant & ((1 << k) - 1)
         out_reg = (dominant >> k) & ((1 << (2 * k)) - 1)
         print(f"input register: {in_reg}, output register: {out_reg}")

@@ -26,8 +26,8 @@ plan gives (``_pair_lattice``); a swap on a unit-stride state views each run
 of contiguous pairs below the gate's qubits as one wide element, so numpy
 copies runs instead of single amplitudes. The baseline gathers a window's
 pairs by index arrays, a template cached per window size and target plus
-the window's start, ``ith_cleared`` of the window's first iteration. A gate
-on a warm geometry builds only its views and its list of window starts.
+the window's start, ``ith_cleared`` of the window's first iteration. A warm
+gate builds only its scalars, its views and its list of window starts.
 
 A gate runs in windows sized by the number of workers that run at once
 (``_window``): 4,096 iterations on one worker, four times that on several,
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import functools
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor, wait
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -213,27 +212,17 @@ def iteration_count(strategy: Strategy, num_qubits: int, gate: GateOp) -> int:
     return 1 << (num_qubits - 1 - n_c)
 
 
-def _matrix_scalars(m: GateMatrix, dtype) -> tuple:
+def _matrix_scalars(m: GateMatrix, dtype) -> tuple | None:
     """The entries of ``m`` as ``dtype`` scalars, so single-precision states
-    compute in single precision. Cached by the entries' bytes: ``GateMatrix``
-    equates -0.0 with 0.0, but a zero's sign can reach the result."""
-    parts = (m.a.real, m.a.imag, m.b.real, m.b.imag, m.c.real, m.c.imag, m.d.real, m.d.imag)
-    return _cast(struct.pack("8d", *parts), dtype)
+    compute in single precision, or None where they equal X's (0, 1, 1, 0),
+    which ``_update_pairs`` runs as a swap."""
+    mat = tuple(np.array((m.a, m.b, m.c, m.d), dtype))
+    return None if mat == (0, 1, 1, 0) else mat
 
 
-@functools.lru_cache(maxsize=256)
-def _cast(entries: bytes, dtype) -> tuple:
-    return tuple(np.frombuffer(entries, np.complex128).astype(dtype))
-
-
-def _is_swap(mat: tuple) -> bool:
-    """True iff the matrix scalars are X, [[0, 1], [1, 0]]."""
-    a, b, c, d = mat
-    return a == 0 and b == 1 and c == 1 and d == 0
-
-
-def _update_pairs(amps: np.ndarray, k1, k2, mat: tuple):
-    """Apply [[a, b], [c, d]] to every pair (amps[k1], amps[k2]).
+def _update_pairs(amps: np.ndarray, k1, k2, mat: tuple | None):
+    """Apply [[a, b], [c, d]] to every pair (amps[k1], amps[k2]), or swap
+    each pair where ``mat`` is None, an X (see ``_matrix_scalars``).
 
     A key is an index array, whose read is a gathered copy, or a basic
     index, whose read is a view of ``amps`` and is copied here. Either way
@@ -250,7 +239,7 @@ def _update_pairs(amps: np.ndarray, k1, k2, mat: tuple):
     y = amps[k2]
     if not y.flags.owndata:
         y = y.copy()
-    if _is_swap(mat):
+    if mat is None:
         amps[k1] = y
         amps[k2] = x
         return
@@ -424,7 +413,7 @@ def _resolve(amps: np.ndarray, gate: GateOp, strategy: Strategy, window: int):
 
         return step
 
-    swap = _is_swap(mat) and amps.flags.c_contiguous
+    swap = mat is None and amps.flags.c_contiguous
     num_qubits = amps.shape[0].bit_length() - 1
     plan = _plan(num_qubits, gate.target, gate.controls, window, swap)
     starts = [plan.base >> plan.run]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import svsched.bench
 import svsched.cli
+import svsched.sched
 import svsched.verify
 from svsched import (
     CapacityError,
@@ -16,6 +17,8 @@ from svsched import (
     Strategy,
     apply_circuit,
     apply_gate,
+    gate_x,
+    iteration_count,
     named_gate,
     new_state,
     parse_circuit,
@@ -95,6 +98,14 @@ class TestRun:
     def test_input_needs_squaring_layout(self, capsys):
         code, _, err = run_cli(capsys, "run", "qft:4", "--input", "1")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("source", ["qft:5", "stream:8"])
+    def test_input_needs_a_squaring_spec(self, capsys, source):
+        # qft:5 and stream:8 have 3k+2 qubits, but are no squaring circuits
+        code, out, err = run_cli(capsys, "run", source, "--input", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: --input needs a squaring circuit, sq:<k>, not {source!r}\n"
 
     def test_capacity_error_names_limit(self, capsys):
         code, _, err = run_cli(capsys, "run", "qft:31")
@@ -317,6 +328,22 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--n-max", "4", "--cases", "1")
         assert code == EXIT_VERIFY
         assert "mismatch at (n=3, t=1, C={0})" in out
+
+    def test_default_draw_runs_x_gates_of_several_windows(self, monkeypatch):
+        # the swap path and its wide elements, over more than one window
+        seen = []
+        real = svsched.verify.apply_gate
+
+        def spy(state, gate, strategy):
+            seen.append((state.num_qubits, gate, strategy))
+            return real(state, gate, strategy)
+
+        monkeypatch.setattr(svsched.verify, "apply_gate", spy)
+        assert svsched.verify.verify_equivalence() == (1000, [])
+        assert any(
+            gate.matrix == gate_x() and iteration_count(strategy, n, gate) > svsched.sched._BLOCK
+            for n, gate, strategy in seen
+        )
 
     def test_bad_n_max(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--n-max", "12")

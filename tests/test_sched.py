@@ -25,6 +25,7 @@ from svsched import (
     control_satisfied,
     gate_h,
     gate_x,
+    gate_y,
     gen_qft,
     gen_squaring,
     gen_streaming,
@@ -829,7 +830,7 @@ class TestPlan:
             assert 0 < cache.cache_info().maxsize <= 4096
 
 
-CACHES = (sched._plan, sched._cast, sched._template)
+CACHES = (sched._plan, sched._template)
 
 
 def clear_caches():
@@ -868,7 +869,10 @@ class TestWarmGates:
             apply_gate(state, gate, strategy)
             assert [cache.cache_info().misses for cache in CACHES] == misses
             (_, _, mat), *rest = calls
-            assert mat is first[0]
+            if mat is None:
+                assert first[0] is None
+            else:
+                assert np.array(mat).tobytes() == np.array(first[0]).tobytes()
             if strategy is Strategy.OPTIMIZED:
                 assert [name for name, _, _ in rest] == ["_plan"], matrix
             else:
@@ -907,6 +911,41 @@ class TestWarmGates:
             clear_caches()
             for k in order:
                 assert run((plus, minus)[k]) == want[k], order
+
+
+class TestMatrixScalars:
+    """A gate's matrix is cast on every call, and an X resolves to None,
+    which every window of the gate runs as a swap."""
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_x_is_none_and_other_matrices_are_cast(self, dtype):
+        assert sched._matrix_scalars(gate_x(), dtype) is None
+        # decided on the cast scalars: -0.0 == 0, and 1 + 1e-12 is 1 in single
+        assert sched._matrix_scalars(GateMatrix(-0.0, 1, 1, -0.0), dtype) is None
+        near = sched._matrix_scalars(GateMatrix(0, 1 + 1e-12, 1, 0), dtype)
+        assert (near is None) == (dtype is np.complex64)
+        for matrix in (gate_h(), gate_y()):
+            mat = sched._matrix_scalars(matrix, dtype)
+            assert type(mat) is tuple and all(type(v) is dtype for v in mat)
+            want = np.array((matrix.a, matrix.b, matrix.c, matrix.d), dtype)
+            assert np.array(mat).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_every_window_of_x_cx_ccx_swaps(self, monkeypatch, strategy):
+        # 8-iteration windows: 8-32 windows a gate on 9 qubits
+        monkeypatch.setattr(sched, "_BLOCK", 8)
+        mats = []
+        update = sched._update_pairs
+
+        def spy(arr, k1, k2, mat):
+            mats.append(mat)
+            update(arr, k1, k2, mat)
+
+        monkeypatch.setattr(sched, "_update_pairs", spy)
+        for controls in ((), (1,), (1, 6)):
+            mats.clear()
+            apply_gate(new_state(9), GateOp(gate_x(), 3, controls), strategy)
+            assert len(mats) >= 8 and all(mat is None for mat in mats), controls
 
 
 def index_swap(amps, n, t, controls):
