@@ -25,14 +25,18 @@ updates a window through two strided views of the state, whose strides the
 plan gives (``_pair_lattice``); a swap on a unit-stride state views each run
 of contiguous pairs below the gate's qubits as one wide element, so numpy
 copies runs instead of single amplitudes. The baseline gathers a window's
-pairs by index arrays, a template cached per window size and target plus
-the window's start, ``ith_cleared`` of the window's first iteration. A warm
-gate builds only its scalars, its views and its list of window starts.
+pairs by index arrays: rows of at most 4,096 iterations, each a template
+cached per row width and target plus the row's start, ``ith_cleared`` of
+its first iteration, in one broadcast add. A warm gate builds only its
+scalars, its views or row offsets, and its list of window starts.
 
 A gate runs in windows sized by the number of workers that run at once
-(``_window``): 4,096 iterations on one worker, four times that on several,
-whose numpy calls then run longer between hand-overs of the interpreter
-lock. Each window's temporaries are freed before the next, so a gate's
+(``_window``): 16,384 iterations on several workers, whose numpy calls then
+run longer between hand-overs of the interpreter lock. On one worker the
+optimized kernel runs 4,096 iterations a window, and the baseline at most
+8,192 pairs a window: 16,384 iterations where a control halves every
+window, else 8,192, so it pays the per-window Python cost a quarter or half
+as often. Each window's temporaries are freed before the next, so a gate's
 working memory is O(window) per worker whatever the register size. Windows
 within one gate write disjoint pairs and may run on several workers.
 
@@ -87,11 +91,13 @@ _BLOCK = 1 << 12
 _WIDE_SHIFT = 2
 
 # Bytes of window temporaries per worker (see window_bytes). Traced with
-# tracemalloc, they peak with a double-precision h under the baseline: 424
-# KiB for one worker's 4,096-iteration windows, and 2,708 KiB for two workers
-# with 16,384-iteration windows (the optimized h: 321 and 2,056 KiB). A
-# double-precision x on 20 qubits peaks at 132 KiB on one worker, both halves
-# of a window, whether it moves its pairs singly or in runs of 2**5 or 2**12
+# tracemalloc on 18 qubits, cold caches, they peak with a double-precision h
+# under the baseline: 803 KiB for one worker's windows of 8,192 pairs (an
+# uncontrolled h's 8,192 iterations, or 16,384 of an h whose control 0
+# halves them), and 2,612 KiB for two workers with 16,384-iteration windows
+# (the optimized h: 324 and 2,058 KiB). A double-precision x on 20 qubits
+# peaks at 132 KiB on one worker under the optimized kernel, both halves of
+# a window, whether it moves its pairs singly or in runs of 2**5 or 2**12
 # pairs.
 _WORKER_BYTES = 1 << 20  # one worker
 _WIDE_WORKER_BYTES = 2 << 20  # each of several workers
@@ -182,8 +188,8 @@ class Strategy(str, Enum):
     against the gate's control mask, so each control is evaluated on every
     iteration, as in a statically scheduled kernel, and only the pairs that
     satisfy all controls are updated. A window's first pair indices are a
-    cached template plus the window's start, ``ith_cleared`` of its first
-    iteration.
+    cached template plus the start of each of its rows, ``ith_cleared`` of
+    the row's first iteration.
 
     ``OPTIMIZED`` schedules only the ``2**(n - n_c - 1)`` control-satisfying
     iterations: each reduced index is mapped to its global iteration index
@@ -344,9 +350,20 @@ def _worker_count(count: int, threads: int) -> int:
     return min(threads, usable_cpus(), count // _MIN_CHUNK)
 
 
-def _window(workers: int) -> int:
-    """Iterations per window of work that runs on ``workers`` workers at once."""
-    return _BLOCK if workers == 1 else _BLOCK << _WIDE_SHIFT
+def _window(workers: int, strategy: Strategy, gate: GateOp) -> int:
+    """Iterations per window of ``gate`` in work on ``workers`` workers at
+    once. Several run the wide window, and the optimized kernel on one runs
+    ``_BLOCK``. The baseline on one keeps at most ``2 * _BLOCK`` pairs a
+    window: the wide window where a control's iteration bit lies below its
+    bits and so halves it, else ``2 * _BLOCK``."""
+    wide = _BLOCK << _WIDE_SHIFT
+    if workers > 1:
+        return wide
+    if strategy is Strategy.OPTIMIZED:
+        return _BLOCK
+    bits = wide.bit_length() - 1
+    halves = any(adjusted_control(c, gate.target) < bits for c in gate.controls)
+    return wide if halves else _BLOCK << 1
 
 
 def window_bytes(threads: int) -> int:
@@ -383,11 +400,13 @@ def _split(units: int, workers: int, walk: Callable[[int, int], int]) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _template(window: int, target: int) -> np.ndarray:
-    """The baseline's first pair indices of the window at 0, read-only. Callers
-    pass ``min(target, bits)``: every higher target gives ``arange(window)``.
-    With windows of at most 16,384 iterations the cache's 64 take 3.4 MiB at most."""
-    tpl = ith_cleared(np.arange(window, dtype=np.int64), target)
+def _template(width: int, target: int) -> np.ndarray:
+    """The baseline's first pair indices of the ``width`` iterations from 0,
+    read-only: one row of a window. Callers pass ``min(target, bits)``, as
+    every higher target gives ``arange(width)``. Rows are at most ``_BLOCK``
+    wide, so the cache's 64 take 0.75 MiB at most: 13 targets at 4,096
+    iterations, 12 at 2,048 and so on down."""
+    tpl = ith_cleared(np.arange(width, dtype=np.int64), target)
     tpl.flags.writeable = False
     return tpl
 
@@ -396,17 +415,24 @@ def _resolve(amps: np.ndarray, gate: GateOp, strategy: Strategy, window: int):
     """Resolve ``gate`` once, in windows of ``window`` iterations over all of
     ``amps``. Returns ``step(w)``, which runs window ``w``: the baseline's
     starts at ``ith_cleared(w * window, t)``, the optimized kernel's at
-    ``starts[w]`` on a lattice over all of ``amps``."""
+    ``starts[w]`` on a lattice over all of ``amps``.
+
+    A baseline window is rows of at most ``_BLOCK`` iterations: its first
+    pair indices are the row template plus each row's start, in one
+    broadcast add. A start's bits and a row offset's bits are disjoint, so
+    ``ith_cleared`` of their sum is the sum of theirs."""
     mat = _matrix_scalars(gate.matrix, amps.dtype)
     wbits = window.bit_length() - 1
     if strategy is Strategy.BASELINE:
         t = gate.target
         stride = 1 << t
         cmask = sum(1 << c for c in gate.controls)
-        tpl = _template(window, min(t, wbits))
+        width = min(window, _BLOCK)
+        tpl = _template(width, min(t, width.bit_length() - 1))
+        rows = ith_cleared(np.arange(0, window, width, dtype=np.int64), t)[:, None]
 
         def step(w: int):
-            p1 = tpl + ith_cleared(w * window, t)
+            p1 = (tpl + (rows + ith_cleared(w * window, t))).ravel()
             p1 = p1[(p1 & cmask) == cmask]
             if p1.size:
                 _update_pairs(amps, p1, p1 + stride, mat)
@@ -471,15 +497,15 @@ def _apply_run(
 
     Every qubit of the gates is below ``bits``. Each gate is resolved once
     over the whole state (``_resolve``), in windows sized by the workers the
-    run's iterations call for, ``k`` windows per tile. Tile ``c`` is a
-    gate's windows ``c*k`` to ``(c+1)*k - 1``: the reduced index's bits from
-    the tile's iterations up map to the qubits at and above ``bits``. The
-    workers split the run's units (``_split``), its tiles, so each tile's
-    gates run in order on one thread, as a worker that waited on work it
-    submitted to its own pool could wait forever. A lone gate on one worker
-    runs its one tile's windows in one loop on the calling thread. A lone
-    gate on several workers has its windows as units, one window per unit,
-    as they write disjoint pairs.
+    run's iterations call for and by the gate (``_window``), ``k`` windows
+    per tile. Tile ``c`` is a gate's windows ``c*k`` to ``(c+1)*k - 1``: the
+    reduced index's bits from the tile's iterations up map to the qubits at
+    and above ``bits``. The workers split the run's units (``_split``), its
+    tiles, so each tile's gates run in order on one thread, as a worker that
+    waited on work it submitted to its own pool could wait forever. A lone
+    gate on one worker runs its one tile's windows in one loop on the
+    calling thread. A lone gate on several workers has its windows as units,
+    one window per unit, as they write disjoint pairs.
     """
     amps = state.amplitudes
     units = amps.shape[0] >> bits
@@ -487,10 +513,9 @@ def _apply_run(
     workers = _worker_count(sum(counts) * units, threads)
     if len(gates) > 1:
         workers = min(workers, units)
-    widest = _window(workers)
     runs = []
     for gate, count in zip(gates, counts):
-        window = min(count, widest)
+        window = min(count, _window(workers, strategy, gate))
         runs.append((count // window, _resolve(amps, gate, strategy, window), window))
     if workers > units:  # a lone gate's windows, split over the workers
         (k, step, window), = runs

@@ -87,7 +87,8 @@ def verify_equivalence(
     """Random gates on random states: baseline and optimized final state
     vectors must match bit for bit. Half the gates are X, which both
     schedulers run as a swap; from 14 qubits up, a gate with few enough
-    controls runs several windows."""
+    controls runs several windows. A scheduler that raises on a case is a
+    mismatch that names it and the exception."""
     rng = np.random.default_rng(seed)
     mismatches = []
     for _ in range(cases):
@@ -99,13 +100,23 @@ def verify_equivalence(
         matrix = gate_x() if rng.integers(2) else random_gate_matrix(rng)
         gate = GateOp(matrix, t, controls)
         state = random_state(rng, n)
-        s_base = state.copy()
-        s_opt = state.copy()
-        apply_gate(s_base, gate, Strategy.BASELINE)
-        apply_gate(s_opt, gate, Strategy.OPTIMIZED)
-        if not np.array_equal(s_base.amplitudes, s_opt.amplitudes):
-            worst = float(np.max(np.abs(s_base.amplitudes - s_opt.amplitudes)))
-            mismatches.append(
-                Mismatch(n, t, controls, f"schedulers disagree, max |diff| = {worst:.3e}")
-            )
+        finals = []
+        for strategy in (Strategy.BASELINE, Strategy.OPTIMIZED):
+            final = state.copy()
+            try:
+                apply_gate(final, gate, strategy)
+            except MemoryError:
+                raise
+            except Exception as exc:
+                detail = f"{strategy.value} scheduler raised {type(exc).__name__}: {exc}"
+                mismatches.append(Mismatch(n, t, controls, detail))
+                break
+            finals.append(final.amplitudes)
+        else:
+            base, opt = finals
+            if not np.array_equal(base, opt):
+                worst = float(np.max(np.abs(base - opt)))
+                mismatches.append(
+                    Mismatch(n, t, controls, f"schedulers disagree, max |diff| = {worst:.3e}")
+                )
     return cases, mismatches

@@ -329,6 +329,25 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert "mismatch at (n=3, t=1, C={0})" in out
 
+    def test_a_scheduler_that_raises_is_a_mismatch(self, capsys, monkeypatch):
+        # the optimized scheduler fails on the first geometry it is given
+        real = svsched.verify.apply_gate
+        failed = []
+
+        def flaky(state, gate, strategy):
+            if strategy is Strategy.OPTIMIZED and not failed:
+                failed.append((state.num_qubits, gate.target, gate.controls))
+                raise IndexError("index 57345 is out of bounds")
+            return real(state, gate, strategy)
+
+        monkeypatch.setattr(svsched.verify, "apply_gate", flaky)
+        code, out, err = run_cli(capsys, "verify", "--n-max", "3", "--cases", "5", "--seed", "7")
+        assert code == EXIT_VERIFY
+        (n, t, controls), = failed
+        where = f"equivalence mismatch at (n={n}, t={t}, C={{{', '.join(map(str, controls))}}})"
+        assert f"{where}: optimized scheduler raised IndexError: index 57345" in out
+        assert "Traceback" not in err
+
     def test_default_draw_runs_x_gates_of_several_windows(self, monkeypatch):
         # the swap path and its wide elements, over more than one window
         seen = []

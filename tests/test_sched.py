@@ -473,6 +473,19 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_a_high_control_keeps_the_window_within_the_block(self, strategy):
+        # control 19 is iteration bit 18, above the bits of any window, so
+        # a baseline window of 4 * _BLOCK iterations would keep all its pairs
+        state = new_state(20)
+        tracemalloc.start()
+        try:
+            apply_gate(state, GateOp(gate_h(), 7, (19,)), strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("threads", [2, 3])
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize(
@@ -720,8 +733,10 @@ class TestExecutedIndices:
     def test_one_worker_runs_every_window_in_order_on_the_caller(
         self, monkeypatch, strategy, threads
     ):
-        # 8-iteration windows: the gate runs 16 (baseline) or 8 (optimized),
-        # too few iterations for a second worker at any thread count
+        # 8-iteration blocks: the gate runs 8 windows, of 16 iterations
+        # (baseline, whose control lies above a 32-iteration window's bits)
+        # or 8 (optimized), too few iterations for a second worker at any
+        # thread count
         monkeypatch.setattr(sched, "_BLOCK", 8)
         monkeypatch.setattr(sched, "_pool", lambda: pytest.fail("a one-worker gate used the pool"))
         resolve = sched._resolve
@@ -739,8 +754,9 @@ class TestExecutedIndices:
         monkeypatch.setattr(sched, "_resolve", spy)
         n, gate = 8, GateOp(gate_h(), 3, (6,))
         count = iteration_count(strategy, n, gate)
+        window = 16 if strategy is Strategy.BASELINE else 8
         assert apply_gate(new_state(n), gate, strategy, threads=threads) == count
-        assert ran == [(threading.get_ident(), w) for w in range(count // 8)]
+        assert ran == [(threading.get_ident(), w) for w in range(count // window)]
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -756,6 +772,31 @@ class TestExecutedIndices:
             apply_gate(state, gate, strategy)
             assert state.amplitudes.dtype == dtype
             np.testing.assert_array_equal(state.amplitudes, expected.astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_baseline_windows_of_several_rows_match_dense_oracle(self, rng, monkeypatch, dtype):
+        # 2-iteration blocks: from 3 qubits a baseline window is 2 or 4
+        # rows of the template, each at its own start. x swaps, h takes
+        # the general update, whose bytes the strided reference gives.
+        monkeypatch.setattr(sched, "_BLOCK", 2)
+        windows = StepRecorder(monkeypatch).resolved
+        rows = set()
+        for n, t, controls in all_geometries(2, 6):
+            amps = random_state(rng, n).amplitudes.astype(dtype)
+            x = GateOp(gate_x(), t, controls)
+            state = StateVector(n, amps.copy())
+            expected = dense_apply(gate_to_dense(x, n), state).amplitudes.astype(dtype)
+            windows.clear()
+            apply_gate(state, x, Strategy.BASELINE)
+            assert state.amplitudes.tobytes() == expected.tobytes(), (n, t, controls)
+            rows.add(windows[0][2] // 2)
+            h = GateOp(gate_h(), t, controls)
+            state = StateVector(n, amps.copy())
+            expected = amps.copy()
+            strided_reference(expected, n, h)
+            apply_gate(state, h, Strategy.BASELINE)
+            assert state.amplitudes.tobytes() == expected.tobytes(), (n, t, controls)
+        assert rows == {1, 2, 4}
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -843,8 +884,10 @@ class TestWarmGates:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_second_call_builds_nothing(self, monkeypatch, strategy):
-        # 16 baseline or 4 optimized windows; only the baseline's window
-        # starts call ith_cleared, on ints, and the baseline has no plan
+        # 4 windows, of 4 * _BLOCK (baseline, whose control 0 halves every
+        # window) or _BLOCK (optimized) iterations; only the baseline calls
+        # ith_cleared, once on its window's row offsets and then on each
+        # window's start, an int, and the baseline has no plan
         calls = []
 
         def spy(name):
@@ -876,7 +919,10 @@ class TestWarmGates:
             if strategy is Strategy.OPTIMIZED:
                 assert [name for name, _, _ in rest] == ["_plan"], matrix
             else:
-                starts = [(w * _BLOCK, 3) for w in range(16)]
+                (name, (offsets, t), _), *rest = rest
+                assert name == "ith_cleared" and t == 3
+                assert offsets.tolist() == [0, _BLOCK, 2 * _BLOCK, 3 * _BLOCK]
+                starts = [(w * 4 * _BLOCK, 3) for w in range(4)]
                 assert rest == [("ith_cleared", args, ith_cleared(*args)) for args in starts]
             calls.clear()
 
@@ -932,7 +978,9 @@ class TestMatrixScalars:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_every_window_of_x_cx_ccx_swaps(self, monkeypatch, strategy):
-        # 8-iteration windows: 8-32 windows a gate on 9 qubits
+        # 8-iteration blocks on 9 qubits: 32, 16 and 8 optimized windows;
+        # 16 baseline windows of 16 iterations, then 8 of 32, of which the
+        # ccx's control 6 leaves 4 with pairs to update
         monkeypatch.setattr(sched, "_BLOCK", 8)
         mats = []
         update = sched._update_pairs
@@ -942,10 +990,11 @@ class TestMatrixScalars:
             update(arr, k1, k2, mat)
 
         monkeypatch.setattr(sched, "_update_pairs", spy)
-        for controls in ((), (1,), (1, 6)):
+        updates = (32, 16, 8) if strategy is Strategy.OPTIMIZED else (16, 8, 4)
+        for controls, want in zip(((), (1,), (1, 6)), updates):
             mats.clear()
             apply_gate(new_state(9), GateOp(gate_x(), 3, controls), strategy)
-            assert len(mats) >= 8 and all(mat is None for mat in mats), controls
+            assert len(mats) == want and all(mat is None for mat in mats), controls
 
 
 def index_swap(amps, n, t, controls):
@@ -1243,30 +1292,71 @@ class TestTiledRuns:
         assert buf[1::2].tobytes() == gap.tobytes()
 
 
+def one_worker_window(strategy, controls) -> int:
+    """The window of a gate on one worker, with the real constants, for
+    controls that halve every window of 4 * _BLOCK iterations, or none."""
+    if strategy is Strategy.OPTIMIZED:
+        return _BLOCK
+    return 4 * _BLOCK if controls else 2 * _BLOCK
+
+
 class TestWorkerWindows:
-    """Work on one worker runs in windows of _BLOCK iterations, work on
-    several in windows of 4 * _BLOCK, with the real constants."""
+    """Work on several workers runs in windows of 4 * _BLOCK iterations.
+    On one worker the optimized kernel runs windows of _BLOCK, and the
+    baseline windows of at most 2 * _BLOCK pairs: 4 * _BLOCK iterations
+    where a control halves every window, else 2 * _BLOCK. With the real
+    constants."""
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_plans_get_the_window_of_the_workers(self, monkeypatch, strategy):
         monkeypatch.setattr(sched, "usable_cpus", lambda: 2)
         windows = StepRecorder(monkeypatch).resolved
-        # one untiled gate of 2**17 iterations, then stream:18, whose gates
-        # 0-6 (optimized) or 0-15 (baseline) form a run on 16-qubit tiles
+        # one untiled gate of 2**17 iterations, then stream:18, whose gate k
+        # has controls 0..k-1 and whose gates 0-6 (optimized) or 0-15
+        # (baseline) form a run on 16-qubit tiles
         joined = 7 if strategy is Strategy.OPTIMIZED else 16
-        for threads, widest in ((1, _BLOCK), (2, 4 * _BLOCK)):
+        for threads in (1, 2):
+            widest = 4 * _BLOCK if threads > 1 else one_worker_window(strategy, ())
             windows.clear()
             apply_gate(new_state(18), GateOp(gate_h(), 9), strategy, threads=threads)
             assert windows == [(18, 1 << 17, widest)]
             windows.clear()
             apply_circuit(new_state(18), gen_streaming(18), strategy, threads=threads)
-            tiled = [w for n, _, w in windows if n == 16]
-            assert len(tiled) == joined and max(tiled) == widest
-            for n, count, window in windows:
+            assert [n for n, _, _ in windows].count(16) == joined
+            for k, (n, count, window) in enumerate(windows):
                 # an untiled gate of fewer than 2 * _MIN_CHUNK iterations
                 # runs on one worker
-                several = n == 16 or count >= 2 * _MIN_CHUNK
-                assert window == min(count, widest if several else _BLOCK)
+                several = threads > 1 and (n == 16 or count >= 2 * _MIN_CHUNK)
+                widest = 4 * _BLOCK if several else one_worker_window(strategy, range(k))
+                assert window == min(count, widest), k
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_baseline_windows_keep_at_most_two_blocks_of_pairs(self, monkeypatch, strategy):
+        # gates of 2**19 iterations: several workers at 2 threads, one at 1
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 2)
+        windows = StepRecorder(monkeypatch).resolved
+        kept = []  # pairs each baseline window updates, from its index array
+        update = sched._update_pairs
+
+        def spy(arr, k1, k2, mat):
+            kept.append(np.size(k1))
+            update(arr, k1, k2, mat)
+
+        monkeypatch.setattr(sched, "_update_pairs", spy)
+        gates = (
+            GateOp(gate_x(), 7, (0,)),  # control 0 halves every window
+            GateOp(gate_h(), 7),
+            GateOp(gate_h(), 7, (19,)),  # iteration bit 18: all pairs or none
+        )
+        for threads in (1, 2):
+            for gate, halved in zip(gates, (True, False, False)):
+                windows.clear()
+                kept.clear()
+                apply_gate(new_state(20), gate, strategy, threads=threads)
+                want = 4 * _BLOCK if threads > 1 else one_worker_window(strategy, halved)
+                assert windows == [(20, iteration_count(strategy, 20, gate), want)], gate
+                if strategy is Strategy.BASELINE and threads == 1:
+                    assert max(kept) == 2 * _BLOCK, gate
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_tile_groups_do_not_depend_on_threads(self, monkeypatch, strategy):
