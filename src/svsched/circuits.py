@@ -26,12 +26,19 @@ from .core import Circuit, GateMatrix, GateOp, gate_h, gate_rm, gate_x, gate_y, 
 _GATE_BUILDERS = {"h": gate_h, "x": gate_x, "y": gate_y, "z": gate_z}
 
 
+def parse_int(text: str) -> int:
+    """``text`` as a base-10 int of ASCII digits and an optional sign only."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def named_gate(name: str, target: int, controls: tuple[int, ...] = ()) -> GateOp:
     """Build a GateOp from a text-format gate name (``h``/``x``/``y``/``z``/``rm:<m>``)."""
     if name in _GATE_BUILDERS:
         matrix = _GATE_BUILDERS[name]()
     elif name.startswith("rm:"):
-        matrix = gate_rm(int(name[3:]))
+        matrix = gate_rm(parse_int(name[3:]))
     else:
         raise ValueError(f"unknown gate name {name!r}")
     return GateOp(matrix, target, controls, name=name)
@@ -234,7 +241,7 @@ _NAME_RE = re.compile(r"^(c*)(h|x|y|z|rm:(\S+))$")
 
 def _parse_int(token: str, line_no: int, column: int, what: str) -> int:
     try:
-        return int(token, 10)
+        return parse_int(token)
     except ValueError:
         raise CircuitParseError(f"malformed {what} {token!r}", line_no, column) from None
 

@@ -24,6 +24,7 @@ from .circuits import (
     gen_squaring,
     gen_streaming,
     parse_circuit,
+    parse_int,
     serialize_circuit,
 )
 from .core import MAX_QUBITS, PRECISION_DTYPES, CapacityError, Circuit, new_state, norm_sq
@@ -162,7 +163,7 @@ def load_circuit(source: str) -> tuple[str, Circuit]:
     head, sep, tail = source.partition(":")
     if sep and head in _GENERATORS:
         try:
-            param = int(tail)
+            param = parse_int(tail)
         except ValueError:
             raise UsageError(f"bad generator parameter in {source!r}") from None
         if param >= 1 and _SPEC_QUBITS[head](param) > MAX_QUBITS:
@@ -349,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--scheduler", choices=[s.value for s in Strategy], default=Strategy.OPTIMIZED.value
     )
-    p_run.add_argument("--precision", choices=["double", "single"], default="double")
+    p_run.add_argument("--precision", choices=list(PRECISION_DTYPES), default="double")
     p_run.add_argument("--top-k", type=int, default=8, help="amplitudes to print")
     p_run.add_argument(
         "--input",
@@ -385,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--format", choices=["csv", "json"], default="csv")
     p_bench.add_argument("-o", "--output", help="report path (default: stdout)")
-    p_bench.add_argument("--precision", choices=["double", "single"], default="double")
+    p_bench.add_argument("--precision", choices=list(PRECISION_DTYPES), default="double")
     p_bench.add_argument("--threads", type=int, default=None)
     p_bench.add_argument(
         "--per-gate-timing", action="store_true", help="per-gate medians (needs --format json)"

@@ -124,7 +124,8 @@ class Circuit:
 
 
 class StateVector:
-    """Dense array of 2**num_qubits complex amplitudes, indexed by basis state."""
+    """Dense array of 2**num_qubits complex amplitudes, indexed by basis state:
+    one C-contiguous complex64 or complex128 array, a copy of any other."""
 
     __slots__ = ("num_qubits", "amplitudes")
 
@@ -138,7 +139,7 @@ class StateVector:
                 f"got shape {amplitudes.shape}"
             )
         self.num_qubits = num_qubits
-        self.amplitudes = amplitudes
+        self.amplitudes = np.ascontiguousarray(amplitudes)
 
     @property
     def precision(self) -> str:

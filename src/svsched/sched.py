@@ -16,19 +16,14 @@ Two interchangeable strategies (``Strategy``) execute a gate:
 
 Both write each surviving amplitude exactly once per gate with the same
 pair update (``_update_pairs``), so their results are bit-identical. A gate
-is resolved once (``_resolve``) into its scalars and window starts. The
-optimized kernel's plan (``_plan``) is the mapping of every reduced bit, run
-once per (register size, target, controls, window size, swap) and kept in a
-cache of at most 1,024 plans of O(n) ints each; a window starts at the
-plan's base plus the steps of the window index's bits. The optimized kernel
-updates a window through two strided views of the state, whose strides the
-plan gives (``_pair_lattice``); a swap on a unit-stride state views each run
-of contiguous pairs below the gate's qubits as one wide element, so numpy
-copies runs instead of single amplitudes. The baseline gathers a window's
-pairs by index arrays: rows of at most 4,096 iterations, each a template
-cached per row width and target plus the row's start, ``ith_cleared`` of
-its first iteration, in one broadcast add. A warm gate builds only its
-scalars, its views or row offsets, and its list of window starts.
+is resolved once (``_resolve``). The optimized kernel's plan (``_plan``),
+cached per geometry, window size, swap and dtype in O(n) ints, lists its
+window starts and lays out its one strided view of the state; a swap's view
+makes each run of contiguous pairs below the gate's qubits one wide element,
+so numpy copies runs. The baseline gathers a window's pairs by index arrays:
+rows of at most 4,096 iterations, each a template cached per row width and
+target plus the row's start, in one broadcast add. A warm gate builds only
+its scalars, its view or row offsets, and its list of window starts.
 
 A gate runs in windows sized by the number of workers that run at once
 (``_window``): 16,384 iterations on several workers, whose numpy calls then
@@ -71,7 +66,6 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import Circuit, GateMatrix, GateOp, StateVector
 
@@ -195,10 +189,8 @@ class Strategy(str, Enum):
     iterations: each reduced index is mapped to its global iteration index
     by ``reduced_to_global``, and the pair update runs unconditionally, so
     every scheduled iteration does useful work. The mapping runs once per
-    distinct geometry (``_plan``). Its steps give the window starts, built
-    on every call, and the strides of two views of the state per window
-    (``_pair_lattice``). A swap on a unit-stride state moves runs of
-    contiguous pairs as single elements.
+    geometry (``_plan``), whose plan gives the window starts and the view of
+    the state; a swap moves runs of contiguous pairs as single elements.
     """
 
     BASELINE = "baseline"
@@ -255,52 +247,52 @@ def _update_pairs(amps: np.ndarray, k1, k2, mat: tuple | None):
 
 
 class _Plan(NamedTuple):
-    """A gate's geometry, in O(n) ints and independent of any state.
-
-    ``base`` and ``steps`` place every scheduled iteration: iteration ``i``
-    updates the pair whose first index is ``base`` plus the steps of the
-    set bits of ``i`` (see ``_plan``). The other fields are in elements of
-    ``2**run`` amplitudes: ``shape`` and ``strides`` lay one window of pairs
-    over the state (see ``_pair_lattice``) and span ``reach`` elements past
-    its first.
-    """
+    """A gate's view of a state of its register, in O(n) ints that count
+    elements of ``dtype``: the state's, or a swap's run of ``2**run``
+    amplitudes (see ``_plan``). Window ``w`` starts ``base`` plus the
+    ``hops`` of the set bits of ``w``. ``np.ndarray(shape, dtype, amps, 0,
+    strides)``, strides in bytes, is a lattice ``lat`` whose ``lat[s, 0]`` and
+    ``lat[s, 1]`` are the first and second elements of the pairs of the
+    window at ``s``, in iteration order."""
 
     base: int
-    steps: tuple[int, ...]
-    run: int
+    hops: tuple[int, ...]
     shape: tuple[int, ...]
     strides: tuple[int, ...]
-    reach: int
+    dtype: np.dtype
+
+    def starts(self) -> list[int]:
+        """Every window's start, in window order."""
+        starts = [self.base]
+        for hop in self.hops:
+            starts += [s + hop for s in starts]
+        return starts
 
 
 @functools.lru_cache(maxsize=1024)
 def _plan(num_qubits: int, target: int, controls: tuple[int, ...], window: int,
-          swap: bool) -> _Plan:
+          swap: bool, dtype: np.dtype) -> _Plan:
     """The plan of a gate scheduling ``2**(num_qubits - 1 - len(controls))``
-    iterations in windows of ``window``, from one vectorised call of the
-    mapping ``ith_cleared(reduced_to_global(i))`` per distinct geometry.
+    iterations in windows of ``window`` over a C-contiguous state of
+    ``dtype``, from one vectorised call of ``ith_cleared(reduced_to_global(i))``.
 
     The mapping is a bit deposit: it spreads the bits of ``i`` over fixed
-    positions and ORs in fixed bits, ``base``. So ``steps[b]``, the mapping
-    of ``2**b`` less ``base``, gives every index: a window start's bits and
-    an in-window offset's bits are disjoint, and each window is one lattice.
-
-    ``swap`` asks for wide elements, for a swap on a unit-stride state. The
-    ``run`` lowest iteration bits then step 1, 2, 4, ... amplitudes, as
-    qubits ``0..run-1`` are neither target nor control (and ``run`` is at
-    most the window's bits), so each run of ``2**run`` pairs is one lattice
-    element. Without ``swap``, ``run`` is 0. Lattice axes merge runs of
-    doubling steps.
+    positions and ORs in fixed bits, ``base``. So the step of bit ``b``, the
+    mapping of ``2**b`` less ``base``, places every pair: the window index's
+    bits step by the hops, and each window is one lattice, whose axes merge
+    runs of doubling steps. A swap's ``run`` lowest iteration bits step 1, 2,
+    4, ... amplitudes, as qubits ``0..run-1`` are neither target nor control
+    (and ``run`` is at most the window's bits), so each run of ``2**run``
+    pairs is one opaque ``np.void`` element, copied whole; else ``run`` is 0.
     """
     bits = window.bit_length() - 1
     reduced = num_qubits - 1 - len(controls)
     at = np.concatenate(([0], 1 << np.arange(reduced, dtype=np.int64)))
     base, *ends = ith_cleared(reduced_to_global(at, target, controls), target).tolist()
-    steps = tuple(end - base for end in ends)
     run = min(target, *controls, bits) if swap else 0
+    steps = [(end - base) >> run for end in ends]
     shape, strides = [], []
     for step in steps[run:bits]:
-        step >>= run
         if strides and step == strides[-1] * shape[-1]:
             shape[-1] *= 2
         else:
@@ -310,28 +302,11 @@ def _plan(num_qubits: int, target: int, controls: tuple[int, ...], window: int,
         shape, strides = [1], [1]
     stride = 1 << (target - run)
     reach = stride + sum((size - 1) * step for size, step in zip(shape, strides))
-    return _Plan(base, steps, run, (2, *shape[::-1]), (stride, *strides[::-1]), reach)
-
-
-def _pair_lattice(amps: np.ndarray, plan: _Plan) -> np.ndarray:
-    """A strided view ``lat`` of ``amps`` with ``lat[s, 0]`` the first and
-    ``lat[s, 1]`` the second elements of the pairs of the window whose first
-    pair index is ``s``, in iteration order.
-
-    Axis 0 steps one element and spans all of ``amps``, even if larger than
-    the plan's register, so ``lat[s]`` is the window at any start. A plan
-    with ``run`` > 0 needs a unit-stride state; its elements are opaque runs
-    of ``2**run`` amplitudes, copied whole. A view on a contiguous state's
-    buffer costs about a tenth of ``as_strided``, which only a strided state
-    needs.
-    """
-    es = amps.strides[0] << plan.run
-    shape = ((amps.shape[0] >> plan.run) - plan.reach, *plan.shape)
-    strides = (es, *[es * step for step in plan.strides])
-    if not amps.flags.c_contiguous:
-        return as_strided(amps, shape, strides)
-    dtype = np.dtype((np.void, es)) if plan.run else amps.dtype
-    return np.ndarray(shape, dtype, amps, 0, strides)
+    es = np.dtype(dtype).itemsize << run
+    shape = ((1 << (num_qubits - run)) - reach, 2, *shape[::-1])
+    strides = tuple(es * step for step in (1, stride, *strides[::-1]))
+    dtype = np.dtype((np.void, es)) if run else np.dtype(dtype)
+    return _Plan(base >> run, tuple(steps[bits:]), shape, strides, dtype)
 
 
 def usable_cpus() -> int:
@@ -415,14 +390,14 @@ def _resolve(amps: np.ndarray, gate: GateOp, strategy: Strategy, window: int):
     """Resolve ``gate`` once, in windows of ``window`` iterations over all of
     ``amps``. Returns ``step(w)``, which runs window ``w``: the baseline's
     starts at ``ith_cleared(w * window, t)``, the optimized kernel's at
-    ``starts[w]`` on a lattice over all of ``amps``.
+    ``starts[w]`` on the plan's view of all of ``amps``, which must be
+    C-contiguous, as ``StateVector`` keeps it (numpy raises ValueError).
 
     A baseline window is rows of at most ``_BLOCK`` iterations: its first
     pair indices are the row template plus each row's start, in one
     broadcast add. A start's bits and a row offset's bits are disjoint, so
     ``ith_cleared`` of their sum is the sum of theirs."""
     mat = _matrix_scalars(gate.matrix, amps.dtype)
-    wbits = window.bit_length() - 1
     if strategy is Strategy.BASELINE:
         t = gate.target
         stride = 1 << t
@@ -439,13 +414,10 @@ def _resolve(amps: np.ndarray, gate: GateOp, strategy: Strategy, window: int):
 
         return step
 
-    swap = mat is None and amps.flags.c_contiguous
     num_qubits = amps.shape[0].bit_length() - 1
-    plan = _plan(num_qubits, gate.target, gate.controls, window, swap)
-    starts = [plan.base >> plan.run]
-    for hop in plan.steps[wbits:]:
-        starts += [s + (hop >> plan.run) for s in starts]
-    lattice = _pair_lattice(amps, plan)
+    plan = _plan(num_qubits, gate.target, gate.controls, window, mat is None, amps.dtype)
+    starts = plan.starts()
+    lattice = np.ndarray(plan.shape, plan.dtype, amps, 0, plan.strides)
 
     def step(w: int):
         s = starts[w]

@@ -3,7 +3,7 @@
 Two independent checks of the reduced-iteration scheduler:
 
 * every gate geometry (register size, target, ascending control subset) maps
-  its reduced iteration set onto exactly the brute-force active set;
+  its reduced iterations, also through the kernel's plans, onto the active set;
 * on random gates and random states, both schedulers produce bit-identical
   final state vectors.
 """
@@ -15,8 +15,9 @@ from itertools import combinations
 
 import numpy as np
 
+from . import sched
 from .core import GateMatrix, GateOp, StateVector, gate_x
-from .sched import Strategy, active_set_oracle, apply_gate, reduced_to_global
+from .sched import Strategy, active_set_oracle, apply_gate, ith_cleared, reduced_to_global
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,10 @@ def all_geometries(n_min: int = 2, n_max: int = 8):
 
 
 def check_mapping(n: int, target: int, controls: tuple[int, ...]) -> Mismatch | None:
-    """Exact set equality between the mapped reduced indices and the oracle."""
+    """Exact set equality between the mapped reduced indices and the oracle;
+    then the kernel's plans of 1-iteration and whole-gate windows, a swap's
+    too, read as ``sched._resolve`` reads them over a state of indices must
+    give the active pairs, ascending. A plan that raises is a mismatch."""
     reduced = np.arange(1 << (n - 1 - len(controls)), dtype=np.int64)
     image = reduced_to_global(reduced, target, controls)
     expected = active_set_oracle(n, target, controls)
@@ -52,6 +56,18 @@ def check_mapping(n: int, target: int, controls: tuple[int, ...]) -> Mismatch | 
         return Mismatch(n, target, controls, f"mapped {sorted(got)} != active {sorted(expected)}")
     if not np.all(np.diff(np.atleast_1d(image)) > 0):
         return Mismatch(n, target, controls, "mapping not strictly increasing")
+    ids = np.arange(1 << n, dtype=np.complex128)
+    want = ith_cleared(np.array(sorted(expected)), target)
+    for window, swap in ((1, False), (reduced.size, False), (reduced.size, True)):
+        what = f"plan of {window}-iteration windows{' (swap)' if swap else ''}"
+        try:
+            plan = sched._plan(n, target, controls, window, swap, ids.dtype)
+            lattice = np.ndarray(plan.shape, plan.dtype, ids, 0, plan.strides)
+            got = [lattice[plan.starts(), k].view(ids.dtype).real.ravel() for k in (0, 1)]
+        except Exception as exc:
+            return Mismatch(n, target, controls, f"{what} raised {type(exc).__name__}: {exc}")
+        if not (np.array_equal(got[0], want) and np.array_equal(got[1], want + (1 << target))):
+            return Mismatch(n, target, controls, f"{what} updates {got} != active {want}")
     return None
 
 

@@ -63,6 +63,29 @@ class TestGen:
         code, _, _ = run_cli(capsys, "gen", "warp:9")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["gen", "run"])
+    @pytest.mark.parametrize("spec", ["qft:0_4", "qft: 4", "stream:4 ", "sq:\u0662"])
+    def test_spec_parameter_is_ascii_decimal(self, capsys, command, spec):
+        code, out, err = run_cli(capsys, command, spec)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: bad generator parameter in {spec!r}\n"
+
+    def test_signed_spec_parameter_keeps_its_message(self, capsys):
+        code, _, err = run_cli(capsys, "gen", "qft:-1")
+        assert code == EXIT_USAGE
+        assert err == "error: bad generator spec 'qft:-1': gen_qft needs at least one qubit\n"
+
+    def test_file_integers_are_ascii_decimal(self, capsys, tmp_path):
+        # int() read these as qubits 12, h 10 and a target of 3
+        for text in ("qubits 1_2\nh 0\n", "qubits 12\nh 1_0\n", "qubits 4\nrm:3 \u0663 1\n"):
+            path = tmp_path / "c.qc"
+            path.write_text(text, encoding="utf-8")
+            code, out, err = run_cli(capsys, "gen", str(path))
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.startswith("error: line ") and "malformed" in err
+
 
 class TestRun:
     def test_qft_norm_and_iterations(self, capsys):
@@ -328,6 +351,25 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--n-max", "4", "--cases", "1")
         assert code == EXIT_VERIFY
         assert "mismatch at (n=3, t=1, C={0})" in out
+
+    def test_a_plan_whose_last_hop_is_off_by_one_is_reported(self, capsys, monkeypatch):
+        # the mapping suite reads the plans the optimized kernel runs
+        real = svsched.sched._plan
+
+        def mutant(*args):
+            plan = real(*args)
+            if plan.hops:
+                plan = plan._replace(hops=(*plan.hops[:-1], plan.hops[-1] + 1))
+            return plan
+
+        monkeypatch.setattr(svsched.sched, "_plan", mutant)
+        checked, mismatches = svsched.verify.verify_mappings(4)
+        assert checked == 2 * 2 + 3 * 4 + 4 * 8 and mismatches
+        assert "plan of 1-iteration windows" in mismatches[0].detail
+        code, out, err = run_cli(capsys, "verify", "--cases", "0")
+        assert code == EXIT_VERIFY
+        assert "mapping mismatch at (n=2, t=0, C={}): plan of 1-iteration windows" in out
+        assert "Traceback" not in err
 
     def test_a_scheduler_that_raises_is_a_mismatch(self, capsys, monkeypatch):
         # the optimized scheduler fails on the first geometry it is given

@@ -64,6 +64,27 @@ class TestNewState:
         with pytest.raises(ValueError):
             StateVector(2, np.zeros(5, dtype=np.complex128))
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_negative_stride_and_stepped_inputs_are_copied(self, rng, dtype):
+        n = 6
+        buf = (rng.normal(size=2 << n) + 1j * rng.normal(size=2 << n)).astype(dtype)
+        kept = buf.copy()
+        for view in (buf[: 1 << n][::-1], buf[::2]):
+            state = StateVector(n, view)
+            amps = state.amplitudes
+            assert amps.flags.c_contiguous and not np.shares_memory(amps, buf)
+            assert amps.dtype == dtype and amps.tobytes() == view.copy().tobytes()
+            for strategy in Strategy:
+                apply_gate(state, GateOp(gate_h(), 2, (0,)), strategy)
+                apply_gate(state, GateOp(gate_x(), 3, (5,)), strategy)
+            assert buf.tobytes() == kept.tobytes()
+
+    def test_zero_d_input_rejected(self):
+        # a 0-d array is not made a one-amplitude state
+        for amps in (np.array(1 + 0j), np.complex64(1)):
+            with pytest.raises(ValueError):
+                StateVector(0, amps)
+
 
 class TestNormSq:
     def test_fresh_state(self):

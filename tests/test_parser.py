@@ -95,6 +95,37 @@ class TestParseErrors:
         self.assert_error("qubits 2\nrm:0 0\n", 2, "rotation order")
         self.assert_error("qubits 2\nrm:x 0\n", 2, "malformed")
 
+    @pytest.mark.parametrize(
+        "text, line, column, token",
+        [
+            ("qubits 1_2\n", 1, 8, "1_2"),
+            ("qubits \uff12\n", 1, 8, "\uff12"),
+            ("qubits 12\nh 1_0\n", 2, 3, "1_0"),
+            ("qubits 4\nrm:0_3 3 1\n", 2, 1, "0_3"),
+            ("qubits 4\nrm:3 \u0663 1\n", 2, 6, "\u0663"),
+            ("qubits 4\nx 0 \u0661\n", 2, 5, "\u0661"),
+        ],
+    )
+    def test_integers_are_ascii_decimal(self, text, line, column, token):
+        # int() would read these as 12, 2, 10, 3, 3 and 1
+        with pytest.raises(CircuitParseError) as info:
+            parse_circuit(text)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert "malformed" in str(info.value) and repr(token) in str(info.value)
+
+    def test_signed_integers_keep_their_messages(self):
+        self.assert_error("qubits -1\n", 1, "qubit count must be >= 1, got -1")
+        self.assert_error("qubits 2\nh -1\n", 2, "qubit -1 out of range")
+        self.assert_error("qubits 2\nrm:-2 0\n", 2, "rotation order must be >= 1, got -2")
+        gate = parse_circuit("qubits +2\nh +1\n").gates[0]
+        assert gate.target == 1
+
+    def test_named_gate_rotation_order_is_ascii_decimal(self):
+        assert named_gate("rm:+3", 0).name == "rm:+3"
+        for name in ("rm:0_3", "rm:\u0663", "rm: 3"):
+            with pytest.raises(ValueError):
+                named_gate(name, 0)
+
     def test_zero_qubits(self):
         self.assert_error("qubits 0\n", 1, ">= 1")
 

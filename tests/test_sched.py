@@ -594,12 +594,26 @@ class TestStridedAndThreadedStates:
         buf = np.zeros(2 << n, dtype=amps.dtype)
         buf[::2] = amps
         strided = StateVector(n, buf[::2])
-        assert not strided.amplitudes.flags.c_contiguous
+        assert strided.amplitudes.flags.c_contiguous  # a copy of the input
         dense = StateVector(n, amps.copy())
         apply_circuit(strided, circuit, strategy, threads=threads)
         apply_circuit(dense, circuit, strategy, threads=threads)
         assert strided.amplitudes.tobytes() == dense.amplitudes.tobytes()
         assert not buf[1::2].any()
+        assert buf[::2].tobytes() == amps.tobytes()
+
+    @pytest.mark.parametrize("matrix", [gate_h(), gate_x()], ids=["h", "x"])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_strided_amplitudes_assigned_later_are_refused(self, rng, dtype, matrix):
+        # the optimized kernel serves the C-contiguous layout StateVector keeps
+        n = 8
+        state = StateVector(n, np.zeros(1 << n, dtype))
+        buf = (rng.normal(size=2 << n) + 1j * rng.normal(size=2 << n)).astype(dtype)
+        kept = buf.copy()
+        state.amplitudes = buf[::2]
+        with pytest.raises(ValueError):
+            apply_gate(state, GateOp(matrix, 3, (1,)), Strategy.OPTIMIZED)
+        assert buf.tobytes() == kept.tobytes()
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(data=st.data())
@@ -843,24 +857,27 @@ class TestPlan:
     def test_thirty_qubit_plan_holds_o_n_ints(self):
         # built without a state; the mapping runs on 29 - 2 reduced bits only
         n, t, controls = 30, 7, (3, 20)
+        dtype = np.dtype(np.complex128)
         tracemalloc.start()
         try:
-            plan = sched._plan(n, t, controls, _BLOCK, True)
+            plan = sched._plan(n, t, controls, _BLOCK, True, dtype)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
-        ints = [plan.base, plan.run, *plan.steps, *plan.shape, *plan.strides]
+        ints = [plan.base, *plan.hops, *plan.shape, *plan.strides]
         assert all(type(v) is int for v in ints)
         assert len(ints) <= 3 * n
-        assert plan.base == (1 << 3) | (1 << 20)
-        assert plan.steps == tuple(1 << q for q in range(n) if q not in (t, *controls))
-        assert plan.run == 3  # qubits 0-2 are free: runs of 8 amplitudes
+        # qubits 0-2 are free: runs of 8 amplitudes, and the plan counts them
+        assert plan.dtype.itemsize == 8 * dtype.itemsize
+        assert plan.base == ((1 << 3) | (1 << 20)) >> 3
+        free = [q for q in range(n) if q not in (t, *controls)]
+        assert plan.hops == tuple(1 << q >> 3 for q in free[_BLOCK.bit_length() - 1 :])
         # the first 16 of 2**15 windows, in elements of 8 amplitudes, listed
         # from the plan as _resolve lists them
-        starts = [plan.base >> plan.run]
-        for hop in plan.steps[_BLOCK.bit_length() - 1 :][:4]:
-            starts += [s + (hop >> plan.run) for s in starts]
+        starts = [plan.base]
+        for hop in plan.hops[:4]:
+            starts += [s + hop for s in starts]
         first = np.arange(16, dtype=np.int64) * _BLOCK
         want = ith_cleared(reduced_to_global(first, t, controls), t) >> 3
         assert starts == want.tolist()
@@ -1034,7 +1051,8 @@ class TestWideSwaps:
                 rec.amps, rec.widths = strided.amplitudes, set()
                 apply_gate(strided, gate, strategy)
                 assert strided.amplitudes.tobytes() == want.tobytes(), (n, t, controls)
-                assert rec.widths == {1}
+                # the state holds a contiguous copy, so it takes the wide swap
+                assert rec.widths == {1 << run if strategy is Strategy.OPTIMIZED else 1}
                 assert buf[1::2].tobytes() == gap.tobytes()
 
 
