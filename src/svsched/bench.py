@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import statistics
 import time
 import typing
@@ -49,24 +50,22 @@ def energy(time_seconds: float, power: PowerModel) -> float:
 
 
 def parse_power_config(text: str) -> dict[str, PowerModel]:
-    """Parse ``device.power_watts = <value>`` lines; '#' starts a comment."""
+    """Parse ``device.power_watts = <value>`` lines; '#' starts a comment. A
+    value is ASCII decimal, as in ``25``, ``-1.5``, ``.5`` or ``2e1``."""
     models: dict[str, PowerModel] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep or not key.endswith(".power_watts") or not key[: -len(".power_watts")]:
             raise ValueError(
                 f"line {line_no}: expected 'device.power_watts = <value>', got {raw!r}"
             )
         device = key[: -len(".power_watts")]
-        try:
-            watts = float(value.strip())
-        except ValueError:
-            raise ValueError(f"line {line_no}: malformed power value {value.strip()!r}") from None
-        models[device] = PowerModel(device, watts)
+        if re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", value) is None:
+            raise ValueError(f"line {line_no}: malformed power value {value!r}")
+        models[device] = PowerModel(device, float(value))
     return models
 
 

@@ -5,7 +5,7 @@ Circuit sources are either a path to a circuit text file or a generator spec
 token: ``qft:<n>``, ``stream:<n>``, ``sq:<input_bits>``.
 
 Exit codes: 0 success, 2 usage error, 3 capacity exceeded (also out of
-memory), 4 verification mismatch.
+memory), 4 verification mismatch; a closed output pipe stops a command with 0.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def default_threads() -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         try:
-            threads = int(env)
+            threads = parse_int(env)
         except ValueError:
             raise UsageError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
         if threads < 1:
@@ -219,7 +219,7 @@ def cmd_run(args) -> int:
     if args.input is not None:
         if not args.source.startswith("sq:"):
             raise UsageError(f"--input needs a squaring circuit, sq:<k>, not {args.source!r}")
-        k = int(args.source[3:])
+        k = (circuit.num_qubits - 2) // 3
         if not 0 <= args.input < (1 << k):
             raise UsageError(f"--input {args.input} does not fit a {k}-bit input register")
         # The basis state of the requested value; not counted as circuit work.
@@ -351,25 +351,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheduler", choices=[s.value for s in Strategy], default=Strategy.OPTIMIZED.value
     )
     p_run.add_argument("--precision", choices=list(PRECISION_DTYPES), default="double")
-    p_run.add_argument("--top-k", type=int, default=8, help="amplitudes to print")
+    p_run.add_argument("--top-k", type=parse_int, default=8, help="amplitudes to print")
     p_run.add_argument(
         "--input",
-        type=int,
+        type=parse_int,
         default=None,
         help="start a squaring circuit with this value in its input register",
     )
     p_run.add_argument(
         "--dump", help=f"write the full state to a file (n <= {DUMP_MAX_QUBITS})"
     )
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument("--threads", type=parse_int, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser(
         "verify", help="check the reduced-iteration mapping against brute force"
     )
-    p_verify.add_argument("--n-max", type=int, default=8, help="largest register (2..8)")
-    p_verify.add_argument("--cases", type=int, default=1000, help="random equivalence cases")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--n-max", type=parse_int, default=8, help="largest register (2..8)")
+    p_verify.add_argument("--cases", type=parse_int, default=1000, help="random equivalence cases")
+    p_verify.add_argument("--seed", type=parse_int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time a circuit and report energy")
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--schedulers", choices=[*(s.value for s in Strategy), "both"], default="both"
     )
-    p_bench.add_argument("--reps", type=int, default=5)
+    p_bench.add_argument("--reps", type=parse_int, default=5)
     p_bench.add_argument(
         "--power", default="fpga", help="power model name (default models: fpga, cpu, gpu)"
     )
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--format", choices=["csv", "json"], default="csv")
     p_bench.add_argument("-o", "--output", help="report path (default: stdout)")
     p_bench.add_argument("--precision", choices=list(PRECISION_DTYPES), default="double")
-    p_bench.add_argument("--threads", type=int, default=None)
+    p_bench.add_argument("--threads", type=parse_int, default=None)
     p_bench.add_argument(
         "--per-gate-timing", action="store_true", help="per-gate medians (needs --format json)"
     )
@@ -399,6 +399,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if [] in vars(args).values():  # argparse's reading of --option=--
+            parser.error("an option's value is '--'")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
@@ -407,7 +409,13 @@ def main(argv: list[str] | None = None) -> int:
                 args.threads = default_threads()
             elif args.threads < 1:
                 raise UsageError(f"--threads must be >= 1, got {args.threads}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:  # the reader stopped: stop too, quietly
+        if sys.stdout is sys.__stdout__:  # the exit-time flush then writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (UsageError, CircuitParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,7 +23,7 @@ makes each run of contiguous pairs below the gate's qubits one wide element,
 so numpy copies runs. The baseline gathers a window's pairs by index arrays:
 rows of at most 4,096 iterations, each a template cached per row width and
 target plus the row's start, in one broadcast add. A warm gate builds only
-its scalars, its view or row offsets, and its list of window starts.
+its scalars and its view and list of window starts, or its row starts.
 
 A gate runs in windows sized by the number of workers that run at once
 (``_window``): 16,384 iterations on several workers, whose numpy calls then
@@ -31,9 +31,13 @@ run longer between hand-overs of the interpreter lock. On one worker the
 optimized kernel runs 4,096 iterations a window, and the baseline at most
 8,192 pairs a window: 16,384 iterations where a control halves every
 window, else 8,192, so it pays the per-window Python cost a quarter or half
-as often. Each window's temporaries are freed before the next, so a gate's
-working memory is O(window) per worker whatever the register size. Windows
-within one gate write disjoint pairs and may run on several workers.
+as often. Each window's temporaries are freed before the next, so they are
+O(window) per worker whatever the register size. Each gate a call resolves
+holds one table over the whole register, a tiled run's gates all at once:
+the optimized kernel's window starts, 40 bytes a window (an int and its list
+slot; 45 at the traced peak), or the baseline's row starts, 8 bytes a row of
+up to 4,096 iterations (24 at the peak); 5 MiB or 1 MiB for an uncontrolled
+gate on 30 qubits. One gate's windows write disjoint pairs: workers share them.
 
 One executor (``_apply_run``) runs a run of gates over the tiles of the
 state: each gate's qubits are below ``b``, and a tile is ``2**b``
@@ -92,7 +96,8 @@ _WIDE_SHIFT = 2
 # (the optimized h: 324 and 2,058 KiB). A double-precision x on 20 qubits
 # peaks at 132 KiB on one worker under the optimized kernel, both halves of
 # a window, whether it moves its pairs singly or in runs of 2**5 or 2**12
-# pairs.
+# pairs. A call's table of starts comes on top: 40 bytes a window (optimized)
+# or 8 a row (baseline), 5 or 1 MiB at 30 qubits (see the module docstring).
 _WORKER_BYTES = 1 << 20  # one worker
 _WIDE_WORKER_BYTES = 2 << 20  # each of several workers
 
@@ -250,10 +255,10 @@ class _Plan(NamedTuple):
     """A gate's view of a state of its register, in O(n) ints that count
     elements of ``dtype``: the state's, or a swap's run of ``2**run``
     amplitudes (see ``_plan``). Window ``w`` starts ``base`` plus the
-    ``hops`` of the set bits of ``w``. ``np.ndarray(shape, dtype, amps, 0,
-    strides)``, strides in bytes, is a lattice ``lat`` whose ``lat[s, 0]`` and
-    ``lat[s, 1]`` are the first and second elements of the pairs of the
-    window at ``s``, in iteration order."""
+    ``hops`` of the set bits of ``w``. ``view(amps)`` lays ``shape`` and
+    ``strides`` (in bytes) over the state: a lattice ``lat`` whose
+    ``lat[s, 0]`` and ``lat[s, 1]`` are the first and second elements of the
+    pairs of the window at ``s``, in iteration order."""
 
     base: int
     hops: tuple[int, ...]
@@ -267,6 +272,10 @@ class _Plan(NamedTuple):
         for hop in self.hops:
             starts += [s + hop for s in starts]
         return starts
+
+    def view(self, buf) -> np.ndarray:
+        """The lattice over ``buf``, a C-contiguous state, or ValueError."""
+        return np.ndarray(self.shape, self.dtype, buf, 0, self.strides)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -389,14 +398,14 @@ def _template(width: int, target: int) -> np.ndarray:
 def _resolve(amps: np.ndarray, gate: GateOp, strategy: Strategy, window: int):
     """Resolve ``gate`` once, in windows of ``window`` iterations over all of
     ``amps``. Returns ``step(w)``, which runs window ``w``: the baseline's
-    starts at ``ith_cleared(w * window, t)``, the optimized kernel's at
-    ``starts[w]`` on the plan's view of all of ``amps``, which must be
-    C-contiguous, as ``StateVector`` keeps it (numpy raises ValueError).
+    rows ``w``, the optimized kernel's at ``starts[w]`` on the plan's view
+    of all of ``amps``, which must be C-contiguous, as ``StateVector`` keeps
+    it (numpy raises ValueError).
 
     A baseline window is rows of at most ``_BLOCK`` iterations: its first
-    pair indices are the row template plus each row's start, in one
-    broadcast add. A start's bits and a row offset's bits are disjoint, so
-    ``ith_cleared`` of their sum is the sum of theirs."""
+    pair indices are the row template plus each row's start,
+    ``ith_cleared`` of the row's first iteration, in one broadcast add. The
+    row starts of every window are mapped once per call."""
     mat = _matrix_scalars(gate.matrix, amps.dtype)
     if strategy is Strategy.BASELINE:
         t = gate.target
@@ -404,10 +413,11 @@ def _resolve(amps: np.ndarray, gate: GateOp, strategy: Strategy, window: int):
         cmask = sum(1 << c for c in gate.controls)
         width = min(window, _BLOCK)
         tpl = _template(width, min(t, width.bit_length() - 1))
-        rows = ith_cleared(np.arange(0, window, width, dtype=np.int64), t)[:, None]
+        rows = ith_cleared(np.arange(0, amps.shape[0] >> 1, width, dtype=np.int64), t)
+        rows = rows.reshape(-1, window // width, 1)
 
         def step(w: int):
-            p1 = (tpl + (rows + ith_cleared(w * window, t))).ravel()
+            p1 = (tpl + rows[w]).ravel()
             p1 = p1[(p1 & cmask) == cmask]
             if p1.size:
                 _update_pairs(amps, p1, p1 + stride, mat)
@@ -417,7 +427,7 @@ def _resolve(amps: np.ndarray, gate: GateOp, strategy: Strategy, window: int):
     num_qubits = amps.shape[0].bit_length() - 1
     plan = _plan(num_qubits, gate.target, gate.controls, window, mat is None, amps.dtype)
     starts = plan.starts()
-    lattice = np.ndarray(plan.shape, plan.dtype, amps, 0, plan.strides)
+    lattice = plan.view(amps)
 
     def step(w: int):
         s = starts[w]

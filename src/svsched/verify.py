@@ -62,8 +62,7 @@ def check_mapping(n: int, target: int, controls: tuple[int, ...]) -> Mismatch | 
         what = f"plan of {window}-iteration windows{' (swap)' if swap else ''}"
         try:
             plan = sched._plan(n, target, controls, window, swap, ids.dtype)
-            lattice = np.ndarray(plan.shape, plan.dtype, ids, 0, plan.strides)
-            got = [lattice[plan.starts(), k].view(ids.dtype).real.ravel() for k in (0, 1)]
+            got = [plan.view(ids)[plan.starts(), k].view(ids.dtype).real.ravel() for k in (0, 1)]
         except Exception as exc:
             return Mismatch(n, target, controls, f"{what} raised {type(exc).__name__}: {exc}")
         if not (np.array_equal(got[0], want) and np.array_equal(got[1], want + (1 << target))):

@@ -65,6 +65,22 @@ class TestPowerConfig:
         with pytest.raises(ValueError):
             parse_power_config(".power_watts = 1\n")
 
+    @pytest.mark.parametrize(
+        "value, watts",
+        [("25", 25.0), ("+2.5", 2.5), ("7.", 7.0), (".5", 0.5), ("2e1", 20.0), ("1.5E-1", 0.15)],
+    )
+    def test_values_are_ascii_decimal(self, value, watts):
+        assert parse_power_config(f"lab.power_watts = {value}\n")["lab"].power_watts == watts
+
+    @pytest.mark.parametrize(
+        "value", ["2_5", "\u0662\u0665", "2 5", "inf", "nan", "0x19", "1e", ".", "", "25W"]
+    )
+    def test_other_values_are_malformed(self, value):
+        # float() read 2_5 as 25 and the Arabic-Indic digits as 25 too
+        with pytest.raises(ValueError) as info:
+            parse_power_config(f"# lab\nlab.power_watts = {value}\n")
+        assert str(info.value) == f"line 2: malformed power value {value!r}"
+
 
 class TestRunBench:
     def test_report_fields_and_energy_identity(self):

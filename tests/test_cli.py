@@ -1,10 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import svsched.bench
@@ -14,6 +21,7 @@ import svsched.verify
 from svsched import (
     CapacityError,
     Circuit,
+    GateOp,
     Strategy,
     apply_circuit,
     apply_gate,
@@ -23,11 +31,13 @@ from svsched import (
     new_state,
     parse_circuit,
 )
+from svsched.circuits import parse_int
 from svsched.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    build_parser,
     main,
     top_amplitudes,
     top_indices,
@@ -371,6 +381,23 @@ class TestVerify:
         assert "mapping mismatch at (n=2, t=0, C={}): plan of 1-iteration windows" in out
         assert "Traceback" not in err
 
+    def test_verify_reads_the_view_the_kernel_builds(self, capsys, monkeypatch):
+        # one method lays a plan over a buffer, for the kernel and the suite
+        real = svsched.sched._Plan.view
+        calls = []
+
+        def reversed_view(plan, buf):
+            calls.append(plan)
+            return real(plan, buf)[::-1]
+
+        monkeypatch.setattr(svsched.sched._Plan, "view", reversed_view)
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "3", "--cases", "0")
+        assert code == EXIT_VERIFY and calls
+        assert "mapping mismatch at (n=2, t=0, C={}): plan of 1-iteration windows" in out
+        calls.clear()
+        apply_gate(new_state(3), GateOp(gate_x(), 0), Strategy.OPTIMIZED)
+        assert len(calls) == 1
+
     def test_a_scheduler_that_raises_is_a_mismatch(self, capsys, monkeypatch):
         # the optimized scheduler fails on the first geometry it is given
         real = svsched.verify.apply_gate
@@ -559,6 +586,16 @@ class TestUsage:
         )
         assert code == EXIT_USAGE
 
+    def test_power_value_is_ascii_decimal(self, capsys, tmp_path):
+        # float() read this as 25 W
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("fpga.power_watts = 2_5\n")
+        code, out, err = run_cli(
+            capsys, "bench", "qft:3", "--reps", "1", "--power-config", str(cfg)
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: bad power config {cfg}: line 1: malformed power value '2_5'\n"
+
     def test_bench_zero_reps(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "qft:3", "--reps", "0")
         assert code == EXIT_USAGE
@@ -588,6 +625,180 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == ""
         assert f"--threads must be >= 1, got {value}" in err
+
+
+def typed_actions():
+    """(command, action, the positionals it needs) for every action of
+    ``build_parser`` that converts its value: all of them integers."""
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command, parser in sub.choices.items():
+        positionals = ["qft:3" for a in parser._actions if not a.option_strings]
+        for action in parser._actions:
+            if action.type is not None:
+                yield command, action, positionals
+
+
+INTEGER_OPTIONS = [(c, a.option_strings[-1], p) for c, a, p in typed_actions()]
+
+# Strings near and far from a decimal integer: underscores, non-ASCII
+# digits, whitespace, signs, the empty string and values of 30+ digits.
+integer_like = st.one_of(
+    st.from_regex(r"[+-]?[0-9]{1,40}", fullmatch=True),
+    st.text(alphabet="0123456789_+- \t\n\u0662\u0663\u07c0\uff11", max_size=40),
+    st.text(max_size=8),
+)
+
+
+def in_process(argv, monkeypatch):
+    """``main(argv)`` with every command stubbed to record its arguments, so
+    nothing runs; returns (exit code, stderr, parsed arguments or None)."""
+    seen = []
+    for name in ("cmd_gen", "cmd_run", "cmd_verify", "cmd_bench"):
+        monkeypatch.setattr(svsched.cli, name, lambda args: seen.append(args) or EXIT_OK)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue(), seen[0] if seen else None
+
+
+class TestIntegerInputs:
+    """Every integer the CLI reads, from an option or SVSCHED_THREADS, is an
+    optional sign and ASCII digits; anything else exits 2."""
+
+    def test_every_integer_option_is_parsed_by_parse_int(self):
+        assert all(action.type is parse_int for _, action, _ in typed_actions())
+        found = {(command, option) for command, option, _ in INTEGER_OPTIONS}
+        assert found >= {
+            ("run", "--top-k"), ("run", "--input"), ("run", "--threads"),
+            ("verify", "--n-max"), ("verify", "--cases"), ("verify", "--seed"),
+            ("bench", "--reps"), ("bench", "--threads"),
+        }
+
+    @pytest.mark.parametrize(
+        "command, option, positionals",
+        INTEGER_OPTIONS,
+        ids=[f"{c} {o}" for c, o, _ in INTEGER_OPTIONS],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(value=integer_like)
+    @example(value="1_0")
+    @example(value="\u0662")
+    @example(value=" 2")
+    @example(value="")
+    @example(value="9" * 40)
+    @example(value="--")
+    def test_only_ascii_decimal_is_accepted(self, command, option, positionals, value):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv("SVSCHED_THREADS", raising=False)
+            # the --option=value form hands a value that starts with - to
+            # the option, not to argparse's option matching
+            code, err, args = in_process([command, *positionals, f"{option}={value}"], mp)
+        assert "Traceback" not in err
+        decimal = re.fullmatch(r"[+-]?[0-9]+", value) is not None
+        if value == "--":  # which argparse reads as no value at all
+            assert code == EXIT_USAGE and args is None
+            assert err.endswith("svsched: error: an option's value is '--'\n")
+        elif not decimal:
+            assert code == EXIT_USAGE and args is None
+            assert f"argument {option}: invalid parse_int value: {value!r}" in err
+        elif option == "--threads" and int(value) < 1:
+            assert code == EXIT_USAGE and args is None
+            assert err == f"error: --threads must be >= 1, got {int(value)}\n"
+        else:
+            assert (code, err) == (EXIT_OK, "")
+            assert getattr(args, option[2:].replace("-", "_")) == int(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        value=st.one_of(
+            integer_like.filter(lambda v: "\x00" not in v),
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
+        )
+    )
+    @example(value="1_0")
+    @example(value=" 2")
+    @example(value="\u0662")
+    @example(value="")
+    def test_threads_variable_is_ascii_decimal(self, value):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("SVSCHED_THREADS", value)
+            code, err, args = in_process(["run", "qft:3"], mp)
+        assert "Traceback" not in err
+        if value == "":  # an empty variable is an unset one
+            assert code == EXIT_OK and args.threads >= 1
+        elif re.fullmatch(r"[+-]?[0-9]+", value) is None:
+            assert code == EXIT_USAGE
+            assert err == f"error: SVSCHED_THREADS must be an integer, got {value!r}\n"
+        elif int(value) < 1:
+            assert code == EXIT_USAGE
+            assert err == f"error: SVSCHED_THREADS must be >= 1, got {value!r}\n"
+        else:
+            assert (code, err, args.threads) == (EXIT_OK, "", int(value))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "qft:3", "--top-k=--"),
+            ("run", "qft:3", "--scheduler=--"),
+            ("run", "qft:3", "--dump=--"),
+            ("gen", "qft:3", "--output=--"),
+            ("bench", "qft:3", "--power=--"),
+            ("verify", "--n-max=--"),
+        ],
+    )
+    def test_double_dash_as_a_value_is_a_usage_error(self, capsys, argv):
+        # argparse left these options an empty list: tracebacks, or --dump
+        # and --output silently ignored
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith("svsched: error: an option's value is '--'\n")
+
+    def test_input_register_comes_from_the_circuit(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "sq:3", "--input", "5")
+        assert code == EXIT_OK
+        assert "input register: 5, output register: 25" in out
+        code, _, err = run_cli(capsys, "run", "sq:+3", "--input", "8")
+        assert code == EXIT_USAGE
+        assert err == "error: --input 8 does not fit a 3-bit input register\n"
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedPipe:
+    """A reader that closes the pipe early stops the command quietly, exit 0."""
+
+    def test_run_into_a_reader_that_closes_at_once(self):
+        # about 300 KB of amplitudes, more than a pipe holds
+        src = str(Path(svsched.cli.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "svsched", "run", "qft:14", "--top-k", "5000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_OK
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv", [("gen", "qft:5"), ("bench", "qft:3", "--reps", "1", "--schedulers", "optimized")]
+    )
+    def test_in_process(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(list(argv))
+        monkeypatch.undo()
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert (captured.out, captured.err) == ("", "")
 
 
 class TestTopIndices:

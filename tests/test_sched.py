@@ -882,6 +882,39 @@ class TestPlan:
         want = ith_cleared(reduced_to_global(first, t, controls), t) >> 3
         assert starts == want.tolist()
 
+    def test_thirty_qubit_call_tables(self):
+        # Besides its windows, a gate call holds one table over the whole
+        # register, traced here without a state: the optimized kernel's
+        # window starts, 40 bytes a window (an int and its list slot) and 45
+        # at the peak, and the baseline's row starts, 8 bytes a row of
+        # _BLOCK iterations and 24 at the peak, over a zero-stride stand-in
+        # for a 30-qubit state. Both are 131,072 entries at 30 qubits.
+        n, dtype = 30, np.dtype(np.complex128)
+        entries = (1 << (n - 1)) // _BLOCK
+        sched._plan.cache_clear()
+        tracemalloc.start()
+        try:
+            starts = sched._plan(n, 7, (), _BLOCK, False, dtype).starts()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(starts) == entries
+        assert held < 41 * entries and peak < 45 * entries
+        del starts
+        amps = np.broadcast_to(dtype.type(0), (1 << n,))
+        sched._template.cache_clear()
+        template = 8 * _BLOCK + (1 << 12)
+        for window, controls in ((2 * _BLOCK, ()), (4 * _BLOCK, (0,))):
+            tracemalloc.start()
+            try:
+                gate = GateOp(gate_h(), 7, controls)
+                step = sched._resolve(amps, gate, Strategy.BASELINE, window)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert held < 8 * entries + template and peak < 24 * entries + template
+            del step
+
     def test_cache_is_bounded(self):
         # every cache of per-gate work, not only the plans
         for cache in CACHES:
@@ -903,8 +936,8 @@ class TestWarmGates:
     def test_second_call_builds_nothing(self, monkeypatch, strategy):
         # 4 windows, of 4 * _BLOCK (baseline, whose control 0 halves every
         # window) or _BLOCK (optimized) iterations; only the baseline calls
-        # ith_cleared, once on its window's row offsets and then on each
-        # window's start, an int, and the baseline has no plan
+        # ith_cleared, once on the starts of all its rows, and the baseline
+        # has no plan
         calls = []
 
         def spy(name):
@@ -936,11 +969,9 @@ class TestWarmGates:
             if strategy is Strategy.OPTIMIZED:
                 assert [name for name, _, _ in rest] == ["_plan"], matrix
             else:
-                (name, (offsets, t), _), *rest = rest
+                (name, (rows, t), _), = rest
                 assert name == "ith_cleared" and t == 3
-                assert offsets.tolist() == [0, _BLOCK, 2 * _BLOCK, 3 * _BLOCK]
-                starts = [(w * 4 * _BLOCK, 3) for w in range(4)]
-                assert rest == [("ith_cleared", args, ith_cleared(*args)) for args in starts]
+                assert rows.tolist() == list(range(0, 1 << 16, _BLOCK))
             calls.clear()
 
     def test_high_targets_share_one_template(self):
