@@ -25,19 +25,15 @@ rows of at most 4,096 iterations, each a template cached per row width and
 target plus the row's start, in one broadcast add. A warm gate builds only
 its scalars and its view and list of window starts, or its row starts.
 
-A gate runs in windows sized by the number of workers that run at once
-(``_window``): 16,384 iterations on several workers, whose numpy calls then
-run longer between hand-overs of the interpreter lock. On one worker the
-optimized kernel runs 4,096 iterations a window, and the baseline at most
-8,192 pairs a window: 16,384 iterations where a control halves every
-window, else 8,192, so it pays the per-window Python cost a quarter or half
-as often. Each window's temporaries are freed before the next, so they are
-O(window) per worker whatever the register size. Each gate a call resolves
-holds one table over the whole register, a tiled run's gates all at once:
-the optimized kernel's window starts, 40 bytes a window (an int and its list
-slot; 45 at the traced peak), or the baseline's row starts, 8 bytes a row of
-up to 4,096 iterations (24 at the peak); 5 MiB or 1 MiB for an uncontrolled
-gate on 30 qubits. One gate's windows write disjoint pairs: workers share them.
+A gate runs in windows sized by the number of workers that run at once,
+by one rule for both kernels (``_window``). Each window's temporaries are
+freed before the next, so they are O(window) per worker whatever the
+register size. Each gate a call resolves holds one table over the whole
+register, a tiled run's gates all at once: the optimized kernel's window
+starts, 40 bytes a window (an int and its list slot; 45 at the traced peak),
+or the baseline's row starts, 8 bytes a row of up to 4,096 iterations (24 at
+the peak); 2.5 MiB or 1 MiB for an uncontrolled gate on 30 qubits. One
+gate's windows write disjoint pairs: workers share them.
 
 One executor (``_apply_run``) runs a run of gates over the tiles of the
 state: each gate's qubits are below ``b``, and a tile is ``2**b``
@@ -46,12 +42,12 @@ equal to the register size, which is one tile. ``apply_circuit`` applies
 gates in order, but groups each maximal run of two or more consecutive
 gates that fit a tile: every qubit of the gate is below ``b``, the smaller
 of the register size and the qubits of a ``_TILE_BYTES`` (1 MiB) tile, 16
-in double and 17 in single precision, and the gate schedules at least an
-eighth of a one-worker window per tile. Such a run is applied tile by
-tile, every gate of the run to one contiguous slice of the state before the
-next, so the state is swept once per run instead of once per gate. Each
-gate of a run is resolved once over the whole state, and tile ``c`` runs
-its ``k`` windows per tile from window ``c*k``. Each gate's pairs lie
+in double and 17 in single precision, and the gate schedules at least 512
+iterations per tile. Such a run is applied tile by tile, every gate of the
+run to one contiguous slice of the state before the next, so the state is
+swept once per run instead of once per gate. Each gate of a run is
+resolved once over the whole state, and tile ``c`` runs its ``k`` windows
+per tile from window ``c*k``. Each gate's pairs lie
 within one tile, so every amplitude gets the same pair updates in the same
 order and the result is bit-identical to gate-by-gate application. Other
 gates run whole. The executor walks units, the tiles of a run, or the
@@ -76,10 +72,14 @@ from .core import Circuit, GateMatrix, GateOp, StateVector
 # Below this many iterations a gate is not worth splitting across threads.
 _MIN_CHUNK = 1 << 15
 
-# Iterations per block. The largest per-block temporary is then 64 KiB of
-# complex128, under glibc's default 128 KiB mmap threshold, so blocks reuse
-# heap memory instead of faulting in fresh pages. 2**13 raised page faults
-# about threefold on small gates.
+# Iterations per block: a baseline row (see _template), and half a window
+# on one worker (see _window), whose complex128 temporaries are then 128 KiB,
+# glibc's initial mmap threshold. Optimized one-thread passes with windows of
+# 2 * _BLOCK against _BLOCK iterations, minor faults per pass, same host:
+# 0-4 on both once warm; a process's first pass 19 -> 47 on stream:22,
+# 13 -> 47 on sq:5 and 84 -> 164 on qft:18. But a cold one-shot run whose
+# heap maps or trims those temporaries faults them in every window: run
+# qft:18 started from Python, 1,606 -> 243,462 faults and 0.15 -> 0.46 s.
 _BLOCK = 1 << 12
 
 # Work on several workers at once runs in windows 2**_WIDE_SHIFT times wider,
@@ -88,16 +88,15 @@ _BLOCK = 1 << 12
 # shifts 0-3 (medians of 21).
 _WIDE_SHIFT = 2
 
-# Bytes of window temporaries per worker (see window_bytes). Traced with
-# tracemalloc on 18 qubits, cold caches, they peak with a double-precision h
-# under the baseline: 803 KiB for one worker's windows of 8,192 pairs (an
-# uncontrolled h's 8,192 iterations, or 16,384 of an h whose control 0
-# halves them), and 2,612 KiB for two workers with 16,384-iteration windows
-# (the optimized h: 324 and 2,058 KiB). A double-precision x on 20 qubits
-# peaks at 132 KiB on one worker under the optimized kernel, both halves of
-# a window, whether it moves its pairs singly or in runs of 2**5 or 2**12
+# Bytes of window temporaries per worker (see window_bytes, and _window for
+# the window sizes). Traced with tracemalloc on 18 qubits, cold caches, they
+# peak with a double-precision h under the baseline: 803 KiB on one worker,
+# whether or not control 0 halves its windows, and 2,612 KiB for two workers
+# (the optimized h: 643 and 2,058 KiB). A double-precision x on 20 qubits
+# peaks at 260 KiB on one worker under the optimized kernel, both halves of
+# a window, whether it moves its pairs singly or in runs of 2**5 or 2**13
 # pairs. A call's table of starts comes on top: 40 bytes a window (optimized)
-# or 8 a row (baseline), 5 or 1 MiB at 30 qubits (see the module docstring).
+# or 8 a row (baseline), 2.5 or 1 MiB at 30 qubits (see the module docstring).
 _WORKER_BYTES = 1 << 20  # one worker
 _WIDE_WORKER_BYTES = 2 << 20  # each of several workers
 
@@ -336,17 +335,18 @@ def _worker_count(count: int, threads: int) -> int:
 
 def _window(workers: int, strategy: Strategy, gate: GateOp) -> int:
     """Iterations per window of ``gate`` in work on ``workers`` workers at
-    once. Several run the wide window, and the optimized kernel on one runs
-    ``_BLOCK``. The baseline on one keeps at most ``2 * _BLOCK`` pairs a
-    window: the wide window where a control's iteration bit lies below its
-    bits and so halves it, else ``2 * _BLOCK``."""
+    once, under either kernel: the one window rule. Several run the wide
+    window, ``_BLOCK << _WIDE_SHIFT`` (16,384 iterations). On one worker a
+    window keeps at most ``2 * _BLOCK`` (8,192) pairs: ``2 * _BLOCK``
+    iterations, or the wide window where the baseline masks a control whose
+    iteration bit lies below the wide window's bits and so halves every
+    window. The optimized kernel masks nothing: each iteration is a pair."""
     wide = _BLOCK << _WIDE_SHIFT
     if workers > 1:
         return wide
-    if strategy is Strategy.OPTIMIZED:
-        return _BLOCK
     bits = wide.bit_length() - 1
-    halves = any(adjusted_control(c, gate.target) < bits for c in gate.controls)
+    masked = gate.controls if strategy is Strategy.BASELINE else ()
+    halves = any(adjusted_control(c, gate.target) < bits for c in masked)
     return wide if halves else _BLOCK << 1
 
 
@@ -453,8 +453,8 @@ def _tile_groups(gates: list[GateOp], strategy: Strategy, bits: int) -> list[lis
     its own.
 
     A gate fits when all its qubits are below ``bits`` and it schedules at
-    least ``_BLOCK >> _JOIN_SHIFT`` iterations per tile, read on every call
-    and the same for any number of workers.
+    least ``_BLOCK >> _JOIN_SHIFT`` (512) iterations per tile, read on every
+    call and the same for any number of workers.
     """
     groups: list[list[GateOp]] = []
     fits = False

@@ -101,7 +101,7 @@ def verify_equivalence(
 ) -> tuple[int, list[Mismatch]]:
     """Random gates on random states: baseline and optimized final state
     vectors must match bit for bit. Half the gates are X, which both
-    schedulers run as a swap; from 14 qubits up, a gate with few enough
+    schedulers run as a swap; from 15 qubits up, a gate with few enough
     controls runs several windows. A scheduler that raises on a case is a
     mismatch that names it and the exception."""
     rng = np.random.default_rng(seed)

@@ -429,7 +429,7 @@ class TestVerify:
         monkeypatch.setattr(svsched.verify, "apply_gate", spy)
         assert svsched.verify.verify_equivalence() == (1000, [])
         assert any(
-            gate.matrix == gate_x() and iteration_count(strategy, n, gate) > svsched.sched._BLOCK
+            gate.matrix == gate_x() and iteration_count(strategy, n, gate) > 2 * svsched.sched._BLOCK
             for n, gate, strategy in seen
         )
 

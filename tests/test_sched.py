@@ -38,6 +38,7 @@ from svsched import (
 )
 import svsched.cli
 from svsched import sched
+from svsched.core import MAX_QUBITS
 from svsched.oracle import dense_apply, gate_to_dense
 from svsched.sched import _BLOCK, _MIN_CHUNK, _worker_count
 from svsched.verify import all_geometries, random_gate_matrix, random_state
@@ -747,9 +748,9 @@ class TestExecutedIndices:
     def test_one_worker_runs_every_window_in_order_on_the_caller(
         self, monkeypatch, strategy, threads
     ):
-        # 8-iteration blocks: the gate runs 8 windows, of 16 iterations
+        # 8-iteration blocks: the gate runs windows of 16 iterations, 8
         # (baseline, whose control lies above a 32-iteration window's bits)
-        # or 8 (optimized), too few iterations for a second worker at any
+        # or 4 (optimized), too few iterations for a second worker at any
         # thread count
         monkeypatch.setattr(sched, "_BLOCK", 8)
         monkeypatch.setattr(sched, "_pool", lambda: pytest.fail("a one-worker gate used the pool"))
@@ -768,7 +769,7 @@ class TestExecutedIndices:
         monkeypatch.setattr(sched, "_resolve", spy)
         n, gate = 8, GateOp(gate_h(), 3, (6,))
         count = iteration_count(strategy, n, gate)
-        window = 16 if strategy is Strategy.BASELINE else 8
+        window = 16
         assert apply_gate(new_state(n), gate, strategy, threads=threads) == count
         assert ran == [(threading.get_ident(), w) for w in range(count // window)]
 
@@ -836,7 +837,7 @@ class TestPlan:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_each_window_size_gets_its_own_plan(self, monkeypatch, strategy):
-        # the same gates under 8- and 4096-iteration windows in one process;
+        # the same gates under 8- and 4096-iteration blocks in one process;
         # the baseline's plan is its index template
         n, t, controls = 14, 5, (2, 9)
         rec = PairRecorder(monkeypatch)
@@ -885,21 +886,24 @@ class TestPlan:
     def test_thirty_qubit_call_tables(self):
         # Besides its windows, a gate call holds one table over the whole
         # register, traced here without a state: the optimized kernel's
-        # window starts, 40 bytes a window (an int and its list slot) and 45
-        # at the peak, and the baseline's row starts, 8 bytes a row of
-        # _BLOCK iterations and 24 at the peak, over a zero-stride stand-in
-        # for a 30-qubit state. Both are 131,072 entries at 30 qubits.
+        # window starts, 40 bytes a window of 2 * _BLOCK iterations (an int
+        # and its list slot) and 45 at the peak, 65,536 windows at 30
+        # qubits, and the baseline's row starts, 8 bytes a row of _BLOCK
+        # iterations and 24 at the peak, 131,072 rows, over a zero-stride
+        # stand-in for a 30-qubit state.
         n, dtype = 30, np.dtype(np.complex128)
         entries = (1 << (n - 1)) // _BLOCK
+        window = sched._window(1, Strategy.OPTIMIZED, GateOp(gate_h(), 7))
+        assert window == 2 * _BLOCK
         sched._plan.cache_clear()
         tracemalloc.start()
         try:
-            starts = sched._plan(n, 7, (), _BLOCK, False, dtype).starts()
+            starts = sched._plan(n, 7, (), window, False, dtype).starts()
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(starts) == entries
-        assert held < 41 * entries and peak < 45 * entries
+        assert len(starts) == entries // 2
+        assert held < 41 * entries // 2 and peak < 45 * entries // 2
         del starts
         amps = np.broadcast_to(dtype.type(0), (1 << n,))
         sched._template.cache_clear()
@@ -915,10 +919,62 @@ class TestPlan:
             assert held < 8 * entries + template and peak < 24 * entries + template
             del step
 
+    def test_plans_at_every_register_size_place_sampled_pairs(self):
+        # Without a state: at every register size the CLI accepts, sampled
+        # pairs of the first, last and seeded windows of each plan, read
+        # from its starts, shape, byte strides and element size alone, are
+        # the pairs the mapping gives, and its lattice stays in the state.
+        rng = np.random.default_rng(22)
+        tracemalloc.start()
+        try:
+            for n in range(9, MAX_QUBITS + 1):
+                for _ in range(3):
+                    t = int(rng.integers(n))
+                    others = [q for q in range(n) if q != t]
+                    k = int(rng.integers(0, 4))
+                    controls = tuple(sorted(int(c) for c in rng.choice(others, k, False)))
+                    gate = GateOp(gate_x(), t, controls)
+                    count = iteration_count(Strategy.OPTIMIZED, n, gate)
+                    for workers in (1, 2):
+                        window = min(count, sched._window(workers, Strategy.OPTIMIZED, gate))
+                        for dtype in (np.complex128, np.complex64):
+                            for swap in (False, True):
+                                plan = sched._plan(n, t, controls, window, swap, np.dtype(dtype))
+                                check_plan(plan, n, gate, window, np.dtype(dtype).itemsize, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
     def test_cache_is_bounded(self):
         # every cache of per-gate work, not only the plans
         for cache in CACHES:
             assert 0 < cache.cache_info().maxsize <= 4096
+
+
+def check_plan(plan, n, gate, window, itemsize, rng):
+    """Assert that ``plan`` places the sampled pairs of its first, last and
+    three seeded windows of ``window`` iterations as the mapping does, and
+    that its lattice lies within ``2**n`` amplitudes of ``itemsize`` bytes,
+    by integer arithmetic on the plan's fields alone."""
+    t, controls = gate.target, gate.controls
+    starts = plan.starts()
+    windows = len(starts)
+    assert windows * window == iteration_count(Strategy.OPTIMIZED, n, gate)
+    es = plan.dtype.itemsize
+    per = es // itemsize  # amplitudes per element
+    steps = [stride // es for stride in plan.strides]
+    assert [stride % es for stride in plan.strides] == [0] * len(steps)
+    assert steps[1] * per == 1 << t and 0 <= min(starts) <= max(starts) < plan.shape[0]
+    reach = sum((size - 1) * step for size, step in zip(plan.shape, steps))
+    assert (reach + 1) * per <= 1 << n
+    js = np.unique(np.concatenate(([0, window - 1], rng.integers(0, window, 6))))
+    coords = np.unravel_index(js // per, plan.shape[2:])
+    offset = sum(c * step for c, step in zip(coords, steps[2:]))
+    for w in {0, windows - 1, *rng.integers(0, windows, 3).tolist()}:
+        got = (starts[w] + offset) * per + js % per
+        want = ith_cleared(reduced_to_global(w * window + js, t, controls), t)
+        assert np.array_equal(got, want), (n, t, controls, window, es, w)
 
 
 CACHES = (sched._plan, sched._template)
@@ -934,10 +990,10 @@ class TestWarmGates:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_second_call_builds_nothing(self, monkeypatch, strategy):
-        # 4 windows, of 4 * _BLOCK (baseline, whose control 0 halves every
-        # window) or _BLOCK (optimized) iterations; only the baseline calls
-        # ith_cleared, once on the starts of all its rows, and the baseline
-        # has no plan
+        # 4 windows of 4 * _BLOCK iterations (baseline, whose control 0
+        # halves every window) or 2 of 2 * _BLOCK (optimized); only the
+        # baseline calls ith_cleared, once on the starts of all its rows,
+        # and the baseline has no plan
         calls = []
 
         def spy(name):
@@ -1026,9 +1082,9 @@ class TestMatrixScalars:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_every_window_of_x_cx_ccx_swaps(self, monkeypatch, strategy):
-        # 8-iteration blocks on 9 qubits: 32, 16 and 8 optimized windows;
-        # 16 baseline windows of 16 iterations, then 8 of 32, of which the
-        # ccx's control 6 leaves 4 with pairs to update
+        # 8-iteration blocks on 9 qubits: 16, 8 and 4 optimized windows of
+        # 16 iterations; 16 baseline windows of 16 iterations, then 8 of 32,
+        # of which the ccx's control 6 leaves 4 with pairs to update
         monkeypatch.setattr(sched, "_BLOCK", 8)
         mats = []
         update = sched._update_pairs
@@ -1038,7 +1094,7 @@ class TestMatrixScalars:
             update(arr, k1, k2, mat)
 
         monkeypatch.setattr(sched, "_update_pairs", spy)
-        updates = (32, 16, 8) if strategy is Strategy.OPTIMIZED else (16, 8, 4)
+        updates = (16, 8, 4)
         for controls, want in zip(((), (1,), (1, 6)), updates):
             mats.clear()
             apply_gate(new_state(9), GateOp(gate_x(), 3, controls), strategy)
@@ -1072,7 +1128,7 @@ class TestWideSwaps:
                 rec.amps, rec.widths = dense.amplitudes, set()
                 apply_gate(dense, gate, strategy)
                 assert dense.amplitudes.tobytes() == want.tobytes(), (n, t, controls)
-                run = min(t, *controls, block.bit_length() - 1)
+                run = min(t, *controls, (2 * block).bit_length() - 1)
                 assert rec.widths == {1 << run if strategy is Strategy.OPTIMIZED else 1}
                 # every other amplitude of a buffer: a stride of two elements
                 buf = rng.normal(size=2 << n).astype(dtype)
@@ -1167,7 +1223,7 @@ class TestTiledRuns:
     """Runs of low-qubit gates applied tile by tile by apply_circuit."""
 
     def test_which_gates_join_a_run(self, monkeypatch):
-        # 32-iteration windows: a gate joins from 32 >> 3 = 4 iterations per
+        # 32-iteration blocks: a gate joins from 32 >> 3 = 4 iterations per
         # tile, so every gate below joins with less than one window per tile
         monkeypatch.setattr(sched, "_BLOCK", 32)
         gates = [
@@ -1175,7 +1231,7 @@ class TestTiledRuns:
             GateOp(gate_x(), 1, (0,)),
             GateOp(gate_h(), 5),  # a qubit above the tile breaks the run
             GateOp(gate_h(), 2),
-            # 2 optimized iterations per 4-qubit tile: under an eighth of a window
+            # 2 optimized iterations per 4-qubit tile: under the 4 to join
             GateOp(gate_x(), 3, (0, 1)),
             GateOp(gate_h(), 0),
             GateOp(gate_h(), 1),
@@ -1207,7 +1263,7 @@ class TestTiledRuns:
     def test_default_tile_is_one_mib(self, monkeypatch):
         # 2**16 double or 2**17 single amplitudes. Stream's gate k schedules
         # 2**(bits-1-k) iterations per tile, so gates 0-6 or 0-7 schedule at
-        # least an eighth of a 4096-iteration window and join.
+        # least 512 iterations per tile and join.
         rec = StepRecorder(monkeypatch)
         for dtype, bits, joined in ((np.complex128, 16, 7), (np.complex64, 17, 8)):
             rec.steps.clear()
@@ -1243,7 +1299,7 @@ class TestTiledRuns:
         n = 12
         circuit = Circuit(n, [*gen_qft(5).gates, *gen_streaming(n).gates, *gen_qft(4).gates])
         tiny_tiles(monkeypatch, 5, np.complex128)
-        # 16-iteration windows: gates of 2 to 8 iterations per tile join too
+        # 16-iteration blocks: gates of 2 to 8 iterations per tile join too
         monkeypatch.setattr(sched, "_BLOCK", 16)
         groups = sched._tile_groups(circuit.gates, strategy, 5)
         tiled = [gate for group in groups if len(group) > 1 for gate in group]
@@ -1344,17 +1400,16 @@ class TestTiledRuns:
 def one_worker_window(strategy, controls) -> int:
     """The window of a gate on one worker, with the real constants, for
     controls that halve every window of 4 * _BLOCK iterations, or none."""
-    if strategy is Strategy.OPTIMIZED:
-        return _BLOCK
-    return 4 * _BLOCK if controls else 2 * _BLOCK
+    if controls and strategy is Strategy.BASELINE:
+        return 4 * _BLOCK
+    return 2 * _BLOCK
 
 
 class TestWorkerWindows:
     """Work on several workers runs in windows of 4 * _BLOCK iterations.
-    On one worker the optimized kernel runs windows of _BLOCK, and the
-    baseline windows of at most 2 * _BLOCK pairs: 4 * _BLOCK iterations
-    where a control halves every window, else 2 * _BLOCK. With the real
-    constants."""
+    On one worker a window of either kernel keeps at most 2 * _BLOCK
+    pairs: 2 * _BLOCK iterations, or 4 * _BLOCK where the baseline masks a
+    control that halves every window. With the real constants."""
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_plans_get_the_window_of_the_workers(self, monkeypatch, strategy):
@@ -1406,6 +1461,38 @@ class TestWorkerWindows:
                 assert windows == [(20, iteration_count(strategy, 20, gate), want)], gate
                 if strategy is Strategy.BASELINE and threads == 1:
                     assert max(kept) == 2 * _BLOCK, gate
+
+    # strategy, workers, controls of an h on target 7 of 20 qubits, and the
+    # iterations a window: control 14 is iteration bit 13, inside a window
+    # of 4 * _BLOCK, so it halves every such window; control 15 is bit 14,
+    # which a window keeps all of or none
+    WINDOWS = [
+        *[(strategy, 1, controls, 2 * _BLOCK)
+          for strategy in Strategy for controls in ((), (15,), (15, 19))],
+        (Strategy.BASELINE, 1, (0,), 4 * _BLOCK),
+        (Strategy.BASELINE, 1, (14,), 4 * _BLOCK),
+        (Strategy.BASELINE, 1, (0, 15), 4 * _BLOCK),
+        (Strategy.OPTIMIZED, 1, (0,), 2 * _BLOCK),
+        (Strategy.OPTIMIZED, 1, (14,), 2 * _BLOCK),
+        (Strategy.OPTIMIZED, 1, (0, 15), 2 * _BLOCK),
+        *[(strategy, 2, controls, 4 * _BLOCK)
+          for strategy in Strategy for controls in ((), (0,), (14,), (15,), (0, 15))],
+    ]
+
+    @pytest.mark.parametrize("strategy, workers, controls, want", WINDOWS)
+    def test_one_window_rule(self, strategy, workers, controls, want):
+        gate = GateOp(gate_h(), 7, controls)
+        window = sched._window(workers, strategy, gate)
+        assert window == want
+        if workers == 1:
+            # the pairs of the fullest window: the optimized kernel updates
+            # one every iteration, the baseline those that pass the controls
+            kept = np.ones(iteration_count(strategy, 20, gate), dtype=bool)
+            if strategy is Strategy.BASELINE:
+                cmask = sum(1 << c for c in controls)
+                p1 = ith_cleared(np.arange(kept.size, dtype=np.int64), 7)
+                kept = (p1 & cmask) == cmask
+            assert kept.reshape(-1, window).sum(axis=1).max() == 2 * _BLOCK
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_tile_groups_do_not_depend_on_threads(self, monkeypatch, strategy):
