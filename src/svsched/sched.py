@@ -32,8 +32,8 @@ register size. Each gate a call resolves holds one table over the whole
 register, a tiled run's gates all at once: the optimized kernel's window
 starts, 40 bytes a window (an int and its list slot; 45 at the traced peak),
 or the baseline's row starts, 8 bytes a row of up to 4,096 iterations (24 at
-the peak); 2.5 MiB or 1 MiB for an uncontrolled gate on 30 qubits. One
-gate's windows write disjoint pairs: workers share them.
+the peak); 2.5 MiB or 1 MiB for an uncontrolled gate on 30 qubits on one
+worker. One gate's windows write disjoint pairs: workers share them.
 
 One executor (``_apply_run``) runs a run of gates over the tiles of the
 state: each gate's qubits are below ``b``, and a tile is ``2**b``
@@ -47,14 +47,13 @@ iterations per tile. Such a run is applied tile by tile, every gate of the
 run to one contiguous slice of the state before the next, so the state is
 swept once per run instead of once per gate. Each gate of a run is
 resolved once over the whole state, and tile ``c`` runs its ``k`` windows
-per tile from window ``c*k``. Each gate's pairs lie
-within one tile, so every amplitude gets the same pair updates in the same
-order and the result is bit-identical to gate-by-gate application. Other
-gates run whole. The executor walks units, the tiles of a run, or the
-windows of a lone gate on several workers; work that uses several workers
-is split into one contiguous range of whole units per worker (``_split``),
-on one pool of at most one thread per usable CPU per process, made on first
-use (``_pool``).
+per tile from window ``c*k``. Each gate's pairs lie within one tile, so
+every amplitude gets the same pair updates in the same order and the result
+is bit-identical to gate-by-gate application. Other gates run whole. The
+executor walks units, the tiles of a run, or the windows of a lone gate on
+several workers; work that uses several workers is split into one
+contiguous range of whole units per worker (``_split``), on one pool of at
+most one thread per usable CPU per process, made on first use (``_pool``).
 """
 
 from __future__ import annotations
