@@ -937,10 +937,10 @@ class TestPlan:
                     count = iteration_count(Strategy.OPTIMIZED, n, gate)
                     for workers in (1, 2):
                         window = min(count, sched._window(workers, Strategy.OPTIMIZED, gate))
-                        for dtype in (np.complex128, np.complex64):
+                        for dtype in map(np.dtype, (np.complex128, np.complex64)):
                             for swap in (False, True):
-                                plan = sched._plan(n, t, controls, window, swap, np.dtype(dtype))
-                                check_plan(plan, n, gate, window, np.dtype(dtype).itemsize, rng)
+                                plan = sched._plan(n, t, controls, window, swap, dtype)
+                                check_plan(plan, n, gate, window, dtype.itemsize, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -963,8 +963,8 @@ def check_plan(plan, n, gate, window, itemsize, rng):
     assert windows * window == iteration_count(Strategy.OPTIMIZED, n, gate)
     es = plan.dtype.itemsize
     per = es // itemsize  # amplitudes per element
+    assert all(stride % es == 0 for stride in plan.strides)
     steps = [stride // es for stride in plan.strides]
-    assert [stride % es for stride in plan.strides] == [0] * len(steps)
     assert steps[1] * per == 1 << t and 0 <= min(starts) <= max(starts) < plan.shape[0]
     reach = sum((size - 1) * step for size, step in zip(plan.shape, steps))
     assert (reach + 1) * per <= 1 << n
