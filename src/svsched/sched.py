@@ -22,18 +22,19 @@ window starts and lays out its one strided view of the state; a swap's view
 makes each run of contiguous pairs below the gate's qubits one wide element,
 so numpy copies runs. The baseline gathers a window's pairs by index arrays:
 rows of at most 4,096 iterations, each a template cached per row width and
-target plus the row's start, in one broadcast add. A warm gate builds only
-its scalars and its view and list of window starts, or its row starts.
+target plus the row's start. A warm gate builds only its scalars and its
+view and list of window starts, or its row starts.
 
 A gate runs in windows sized by the number of workers that run at once,
-by one rule for both kernels (``_window``). Each window's temporaries are
-freed before the next, so they are O(window) per worker whatever the
-register size. Each gate a call resolves holds one table over the whole
-register, a tiled run's gates all at once: the optimized kernel's window
-starts, 40 bytes a window (an int and its list slot; 45 at the traced peak),
-or the baseline's row starts, 8 bytes a row of up to 4,096 iterations (24 at
-the peak); 2.5 MiB or 1 MiB for an uncontrolled gate on 30 qubits on one
-worker. One gate's windows write disjoint pairs: workers share them.
+by one rule for both kernels (``_window``). The baseline frees a window's
+temporaries before the next; the optimized kernel keeps its on a scratch
+buffer per thread (``_Scratch``). Either way they are O(window) per worker
+whatever the register size. Each gate a call resolves holds one table over
+the whole register, a tiled run's gates all at once: the optimized kernel's
+window starts, 40 bytes a window (an int and its list slot; 45 at the
+traced peak), or the baseline's row starts, 8 bytes a row of up to 4,096
+iterations (24 at the peak); 2.5 MiB or 1 MiB for an uncontrolled gate on
+30 qubits on one worker. One gate's windows write disjoint pairs.
 
 One executor (``_apply_run``) runs a run of gates over the tiles of the
 state: each gate's qubits are below ``b``, and a tile is ``2**b``
@@ -43,23 +44,19 @@ gates in order, but groups each maximal run of two or more consecutive
 gates that fit a tile: every qubit of the gate is below ``b``, the smaller
 of the register size and the qubits of a ``_TILE_BYTES`` (1 MiB) tile, 16
 in double and 17 in single precision, and the gate schedules at least 512
-iterations per tile. Such a run is applied tile by tile, every gate of the
-run to one contiguous slice of the state before the next, so the state is
-swept once per run instead of once per gate. Each gate of a run is
-resolved once over the whole state, and tile ``c`` runs its ``k`` windows
-per tile from window ``c*k``. Each gate's pairs lie within one tile, so
-every amplitude gets the same pair updates in the same order and the result
-is bit-identical to gate-by-gate application. Other gates run whole. The
-executor walks units, the tiles of a run, or the windows of a lone gate on
-several workers; work that uses several workers is split into one
-contiguous range of whole units per worker (``_split``), on one pool of at
-most one thread per usable CPU per process, made on first use (``_pool``).
+iterations per tile (``_tile_groups``). Such a run is applied tile by tile,
+so the state is swept once per run instead of once per gate. Each gate's
+pairs lie within one tile, so every amplitude gets the same pair updates in
+the same order and the result is bit-identical to gate-by-gate application.
+Other gates run whole. Work on several workers runs on one pool per process
+(``_pool``).
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -72,13 +69,9 @@ from .core import Circuit, GateMatrix, GateOp, StateVector
 _MIN_CHUNK = 1 << 15
 
 # Iterations per block: a baseline row (see _template), and half a window
-# on one worker (see _window), whose complex128 temporaries are then 128 KiB,
-# glibc's initial mmap threshold. Optimized one-thread passes with windows of
-# 2 * _BLOCK against _BLOCK iterations, minor faults per pass, same host:
-# 0-4 on both once warm; a process's first pass 19 -> 47 on stream:22,
-# 13 -> 47 on sq:5 and 84 -> 164 on qft:18. But a cold one-shot run whose
-# heap maps or trims those temporaries faults them in every window: run
-# qft:18 started from Python, 1,606 -> 243,462 faults and 0.15 -> 0.46 s.
+# on one worker (see _window). A window's complex128 copy is then 128 KiB,
+# glibc's initial mmap threshold: fresh copies each window had a cold run
+# qft:18 fault 195,287 times (0.42 s), against 1,826 (0.15 s) on _Scratch.
 _BLOCK = 1 << 12
 
 # Work on several workers at once runs in windows 2**_WIDE_SHIFT times wider,
@@ -88,14 +81,13 @@ _BLOCK = 1 << 12
 _WIDE_SHIFT = 2
 
 # Bytes of window temporaries per worker (see window_bytes, and _window for
-# the window sizes). Traced with tracemalloc on 18 qubits, cold caches, they
-# peak with a double-precision h under the baseline: 803 KiB on one worker,
-# whether or not control 0 halves its windows, and 2,612 KiB for two workers
-# (the optimized h: 643 and 2,058 KiB). A double-precision x on 20 qubits
-# peaks at 260 KiB on one worker under the optimized kernel, both halves of
-# a window, whether it moves its pairs singly or in runs of 2**5 or 2**13
-# pairs. A call's table of starts comes on top: 40 bytes a window (optimized)
-# or 8 a row (baseline), 2.5 or 1 MiB at 30 qubits (see the module docstring).
+# the window sizes). Traced with tracemalloc on 18 qubits, cold caches, a
+# double-precision h under the baseline peaks at 803 KiB on one worker and
+# 2,612 KiB for two. The optimized kernel's _Scratch holds four copies of a
+# window per thread, 512 KiB on one worker and 1 MiB on each of several, and
+# keeps them: a process running both kernels peaked at 1,318 and 5,176 KiB.
+# A call's table of starts comes on top: 40 bytes a window (optimized) or 8
+# a row (baseline), 2.5 or 1 MiB at 30 qubits (see the module docstring).
 _WORKER_BYTES = 1 << 20  # one worker
 _WIDE_WORKER_BYTES = 2 << 20  # each of several workers
 
@@ -181,19 +173,10 @@ class Strategy(str, Enum):
     final states are bit-identical. They and ``iteration_count`` take a
     member or its value; any other value raises ValueError.
 
-    ``BASELINE`` visits all ``2**(n-1)`` iterations and tests each pair
-    against the gate's control mask, so each control is evaluated on every
-    iteration, as in a statically scheduled kernel, and only the pairs that
-    satisfy all controls are updated. A window's first pair indices are a
-    cached template plus the start of each of its rows, ``ith_cleared`` of
-    the row's first iteration.
-
-    ``OPTIMIZED`` schedules only the ``2**(n - n_c - 1)`` control-satisfying
-    iterations: each reduced index is mapped to its global iteration index
-    by ``reduced_to_global``, and the pair update runs unconditionally, so
-    every scheduled iteration does useful work. The mapping runs once per
-    geometry (``_plan``), whose plan gives the window starts and the view of
-    the state; a swap moves runs of contiguous pairs as single elements.
+    ``BASELINE`` tests every one of the ``2**(n-1)`` iterations against the
+    gate's control mask, as a statically scheduled kernel does. ``OPTIMIZED``
+    schedules only the ``2**(n - n_c - 1)`` iterations that satisfy the
+    controls (``reduced_to_global``), so every one does useful work.
     """
 
     BASELINE = "baseline"
@@ -226,27 +209,50 @@ def _update_pairs(amps: np.ndarray, k1, k2, mat: tuple | None):
     each pair where ``mat`` is None, an X (see ``_matrix_scalars``).
 
     A key is an index array, whose read is a gathered copy, or a basic
-    index, whose read is a view of ``amps`` and is copied here. Either way
-    the arithmetic runs on contiguous copies, so both kernels perform the
-    same element operations. X is a pure swap: it equals ``0*x + 1*y`` bit
+    index, whose read is a view of ``amps`` and is copied here, as are the
+    products, onto the thread's scratch (``_Scratch``). Either way the
+    arithmetic runs on contiguous arrays, so both kernels perform the same
+    element operations. X is a pure swap: it equals ``0*x + 1*y`` bit
     for bit except for the sign of a zero component, which the product can
     flip. The swap, too, writes back from contiguous copies: numpy copies a
     strided view into a strided view several times slower than to or from a
     contiguous array.
     """
-    x = amps[k1]
+    x, y, p, q = amps[k1], amps[k2], None, None
     if not x.flags.owndata:
-        x = x.copy()
-    y = amps[k2]
-    if not y.flags.owndata:
-        y = y.copy()
+        x0, y0, p, q = _scratch(x)
+        x0[...], y0[...] = x, y
+        x, y = x0, y0
     if mat is None:
         amps[k1] = y
         amps[k2] = x
         return
     a, b, c, d = mat
-    amps[k1] = a * x + b * y
-    amps[k2] = c * x + d * y
+    amps[k1] = np.add(np.multiply(a, x, p), np.multiply(b, y, q), p)
+    amps[k2] = np.add(np.multiply(c, x, p), np.multiply(d, y, q), p)
+
+
+class _Scratch(threading.local):
+    """A thread's buffer, and its views by shape, for the copies and products
+    of the optimized kernel's windows: grown to the largest window asked
+    for and kept, so that a window allocates nothing (see ``_BLOCK``)."""
+
+    def __init__(self):
+        self.buf, self.views = np.empty(0, np.uint8), {}
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Four C-contiguous arrays shaped like ``x`` on the buffer."""
+        key = x.shape, x.dtype
+        views = self.views.get(key)
+        if views is None:
+            if self.buf.size < 4 * x.nbytes or len(self.views) >= 256:
+                self.buf = np.empty(max(self.buf.size, 4 * x.nbytes), np.uint8)
+                self.views = {}
+            views = self.views[key] = tuple(np.ndarray((4, *x.shape), x.dtype, self.buf))
+        return views
+
+
+_scratch = _Scratch()
 
 
 class _Plan(NamedTuple):
@@ -399,12 +405,8 @@ def _resolve(amps: np.ndarray, gate: GateOp, strategy: Strategy, window: int):
     ``amps``. Returns ``step(w)``, which runs window ``w``: the baseline's
     rows ``w``, the optimized kernel's at ``starts[w]`` on the plan's view
     of all of ``amps``, which must be C-contiguous, as ``StateVector`` keeps
-    it (numpy raises ValueError).
-
-    A baseline window is rows of at most ``_BLOCK`` iterations: its first
-    pair indices are the row template plus each row's start,
-    ``ith_cleared`` of the row's first iteration, in one broadcast add. The
-    row starts of every window are mapped once per call."""
+    it (numpy raises ValueError). The baseline maps the starts of the rows of
+    every window once per call (see the module docstring)."""
     mat = _matrix_scalars(gate.matrix, amps.dtype)
     if strategy is Strategy.BASELINE:
         t = gate.target
@@ -484,9 +486,8 @@ def _apply_run(
     and above ``bits``. The workers split the run's units (``_split``), its
     tiles, so each tile's gates run in order on one thread, as a worker that
     waited on work it submitted to its own pool could wait forever. A lone
-    gate on one worker runs its one tile's windows in one loop on the
-    calling thread. A lone gate on several workers has its windows as units,
-    one window per unit, as they write disjoint pairs.
+    gate on several workers has its windows as units, as they write
+    disjoint pairs.
     """
     amps = state.amplitudes
     units = amps.shape[0] >> bits

@@ -1030,6 +1030,23 @@ class TestWarmGates:
                 assert rows.tolist() == list(range(0, 1 << 16, _BLOCK))
             calls.clear()
 
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_warm_optimized_windows_allocate_no_copies(self, precision):
+        # an h and an x of 2**18 iterations on one worker: 32 windows of
+        # 2 * _BLOCK pairs, whose copies and products go on the thread's
+        # scratch, so a warm call allocates less than one window's pairs
+        state = new_state(19, precision)
+        for matrix in (gate_h(), gate_x()):
+            gate = GateOp(matrix, 9)
+            apply_gate(state, gate, Strategy.OPTIMIZED)
+            tracemalloc.start()
+            try:
+                apply_gate(state, gate, Strategy.OPTIMIZED)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * _BLOCK * state.amplitudes.itemsize, matrix
+
     def test_high_targets_share_one_template(self):
         clear_caches()
         for t in (12, 14, 16):
@@ -1436,7 +1453,7 @@ class TestWorkerWindows:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_baseline_windows_keep_at_most_two_blocks_of_pairs(self, monkeypatch, strategy):
-        # gates of 2**19 iterations: several workers at 2 threads, one at 1
+        # gates of 2**17 iterations or more: several workers at 2 threads, one at 1
         monkeypatch.setattr(sched, "usable_cpus", lambda: 2)
         windows = StepRecorder(monkeypatch).resolved
         kept = []  # pairs each baseline window updates, from its index array
@@ -1451,9 +1468,11 @@ class TestWorkerWindows:
             GateOp(gate_x(), 7, (0,)),  # control 0 halves every window
             GateOp(gate_h(), 7),
             GateOp(gate_h(), 7, (19,)),  # iteration bit 18: all pairs or none
+            GateOp(gate_h(), 7, (14,)),  # iteration bit 13, the widest window's last
+            GateOp(gate_h(), 7, (0, 15)),  # bit 14 is above the widest window's bits
         )
         for threads in (1, 2):
-            for gate, halved in zip(gates, (True, False, False)):
+            for gate, halved in zip(gates, (True, False, False, True, True)):
                 windows.clear()
                 kept.clear()
                 apply_gate(new_state(20), gate, strategy, threads=threads)
@@ -1461,38 +1480,6 @@ class TestWorkerWindows:
                 assert windows == [(20, iteration_count(strategy, 20, gate), want)], gate
                 if strategy is Strategy.BASELINE and threads == 1:
                     assert max(kept) == 2 * _BLOCK, gate
-
-    # strategy, workers, controls of an h on target 7 of 20 qubits, and the
-    # iterations a window: control 14 is iteration bit 13, inside a window
-    # of 4 * _BLOCK, so it halves every such window; control 15 is bit 14,
-    # which a window keeps all of or none
-    WINDOWS = [
-        *[(strategy, 1, controls, 2 * _BLOCK)
-          for strategy in Strategy for controls in ((), (15,), (15, 19))],
-        (Strategy.BASELINE, 1, (0,), 4 * _BLOCK),
-        (Strategy.BASELINE, 1, (14,), 4 * _BLOCK),
-        (Strategy.BASELINE, 1, (0, 15), 4 * _BLOCK),
-        (Strategy.OPTIMIZED, 1, (0,), 2 * _BLOCK),
-        (Strategy.OPTIMIZED, 1, (14,), 2 * _BLOCK),
-        (Strategy.OPTIMIZED, 1, (0, 15), 2 * _BLOCK),
-        *[(strategy, 2, controls, 4 * _BLOCK)
-          for strategy in Strategy for controls in ((), (0,), (14,), (15,), (0, 15))],
-    ]
-
-    @pytest.mark.parametrize("strategy, workers, controls, want", WINDOWS)
-    def test_one_window_rule(self, strategy, workers, controls, want):
-        gate = GateOp(gate_h(), 7, controls)
-        window = sched._window(workers, strategy, gate)
-        assert window == want
-        if workers == 1:
-            # the pairs of the fullest window: the optimized kernel updates
-            # one every iteration, the baseline those that pass the controls
-            kept = np.ones(iteration_count(strategy, 20, gate), dtype=bool)
-            if strategy is Strategy.BASELINE:
-                cmask = sum(1 << c for c in controls)
-                p1 = ith_cleared(np.arange(kept.size, dtype=np.int64), 7)
-                kept = (p1 & cmask) == cmask
-            assert kept.reshape(-1, window).sum(axis=1).max() == 2 * _BLOCK
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_tile_groups_do_not_depend_on_threads(self, monkeypatch, strategy):
