@@ -1,5 +1,6 @@
 import os
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -1498,6 +1499,26 @@ class TestWorkerWindows:
                 apply_circuit(new_state(circuit.num_qubits), circuit, strategy, threads=threads)
             assert len(groups) == 2 and groups[0] == groups[1]
             assert any(len(group) > 1 for group in groups[0])
+
+    def test_workers_keep_their_own_scratch(self, rng, monkeypatch):
+        # four workers, more than the cores of a small host, handing over
+        # the interpreter lock every microsecond: workers that shared a
+        # scratch buffer would mix the copies of their windows
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 4)
+        amps = random_state(rng, 18).amplitudes
+        gates = (GateOp(gate_h(), 9), GateOp(gate_x(), 3, (0,))) * 4
+        want = StateVector(18, amps.copy())
+        for gate in gates:
+            apply_gate(want, gate, Strategy.OPTIMIZED)
+        got = StateVector(18, amps.copy())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for gate in gates:
+                apply_gate(got, gate, Strategy.OPTIMIZED, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     @pytest.mark.parametrize(
