@@ -71,7 +71,7 @@ _MIN_CHUNK = 1 << 15
 # Iterations per block: a baseline row (see _template), and half a window
 # on one worker (see _window). A window's complex128 copy is then 128 KiB,
 # glibc's initial mmap threshold: fresh copies each window had a cold run
-# qft:18 fault 195,287 times (0.42 s), against 1,826 (0.15 s) on _Scratch.
+# qft:18 fault 195,348 times (0.45 s), against 1,821 (0.20 s) on _Scratch.
 _BLOCK = 1 << 12
 
 # Work on several workers at once runs in windows 2**_WIDE_SHIFT times wider,
