@@ -29,7 +29,7 @@ from .circuits import (
 )
 from .core import MAX_QUBITS, PRECISION_DTYPES, CapacityError, Circuit, new_state, norm_sq
 from .sched import Strategy, apply_circuit, usable_cpus, window_bytes
-from .verify import verify_equivalence, verify_mappings
+from .verify import verify_equivalence, verify_mappings, verify_plans
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -271,6 +271,13 @@ def cmd_verify(args) -> int:
         print(f"\nmapping mismatch at {mapping_misses[0]}")
         return EXIT_VERIFY
     print(": all match brute force")
+
+    checked, plan_misses = verify_plans(args.seed)
+    print(f"plans: checked {checked} plans (n=9..{MAX_QUBITS}, seed={args.seed})", end="")
+    if plan_misses:
+        print(f"\nplan mismatch at {plan_misses[0]}")
+        return EXIT_VERIFY
+    print(": sampled pairs sit where the mapping puts them")
 
     cases, equiv_misses = verify_equivalence(args.cases, args.seed)
     print(f"equivalence: {cases} random gate cases (seed={args.seed})", end="")

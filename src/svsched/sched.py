@@ -14,16 +14,18 @@ Two interchangeable strategies (``Strategy``) execute a gate:
   iteration index back to the global one with per-control skip intervals
   (``reduced_to_global``), and updates memory unconditionally.
 
-Both write each surviving amplitude exactly once per gate with the same
-pair update (``_update_pairs``), so their results are bit-identical. A gate
-is resolved once (``_resolve``). The optimized kernel's plan (``_plan``),
-cached per geometry, window size, swap and dtype in O(n) ints, lists its
-window starts and lays out its one strided view of the state; a swap's view
-makes each run of contiguous pairs below the gate's qubits one wide element,
-so numpy copies runs. The baseline gathers a window's pairs by index arrays:
-rows of at most 4,096 iterations, each a template cached per row width and
-target plus the row's start. A warm gate builds only its scalars and its
-view and list of window starts, or its row starts.
+Both write each surviving amplitude exactly once per gate with one pair
+update (``_update_pairs``), so their results are bit-identical: one key
+selects a window's first elements in an array over the state's low
+``2**n - 2**t`` amplitudes, and their partners in the same array ``2**t``
+higher. A gate is resolved once (``_resolve``). The optimized kernel's plan
+(``_plan``), cached per geometry, window size, swap and dtype in O(n) ints,
+lists its window starts and lays out those arrays as strided views; a swap's
+view makes each run of contiguous pairs below the gate's qubits one wide
+element, so numpy copies runs. The baseline's key is an index array: rows
+of at most 4,096 iterations, each a template cached per row width and
+target plus the row's start. A warm gate builds only its scalars, its two
+views and list of window starts, or its row starts.
 
 A gate runs in windows sized by the number of workers that run at once,
 by one rule for both kernels (``_window``). The baseline frees a window's
@@ -82,12 +84,11 @@ _WIDE_SHIFT = 2
 
 # Bytes of window temporaries per worker (see window_bytes, and _window for
 # the window sizes). Traced with tracemalloc on 18 qubits, cold caches, a
-# double-precision h under the baseline peaks at 803 KiB on one worker and
-# 2,612 KiB for two. The optimized kernel's _Scratch holds four copies of a
-# window per thread, 512 KiB on one worker and 1 MiB on each of several, and
-# keeps them: a process running both kernels peaked at 1,318 and 5,176 KiB.
-# A call's table of starts comes on top: 40 bytes a window (optimized) or 8
-# a row (baseline), 2.5 or 1 MiB at 30 qubits (see the module docstring).
+# double-precision h under the baseline peaks at 739 KiB on one worker and
+# 2,356-2,868 KiB for two. The optimized kernel's _Scratch keeps four copies
+# of a window per thread, 512 KiB on one worker and 1 MiB on each of several:
+# a process running both kernels peaked at 1,254 and 3,895-4,920 KiB. A
+# call's table of starts comes on top (see the module docstring).
 _WORKER_BYTES = 1 << 20  # one worker
 _WIDE_WORKER_BYTES = 2 << 20  # each of several workers
 
@@ -204,32 +205,32 @@ def _matrix_scalars(m: GateMatrix, dtype) -> tuple | None:
     return None if mat == (0, 1, 1, 0) else mat
 
 
-def _update_pairs(amps: np.ndarray, k1, k2, mat: tuple | None):
-    """Apply [[a, b], [c, d]] to every pair (amps[k1], amps[k2]), or swap
-    each pair where ``mat`` is None, an X (see ``_matrix_scalars``).
+def _update_pairs(xs: np.ndarray, ys: np.ndarray, key, mat: tuple | None):
+    """Apply [[a, b], [c, d]] to every pair (xs[key], ys[key]) (see the module
+    docstring), or swap each where ``mat`` is None, an X (``_matrix_scalars``).
 
-    A key is an index array, whose read is a gathered copy, or a basic
-    index, whose read is a view of ``amps`` and is copied here, as are the
+    The key is an index array, whose read is a gathered copy, or a basic
+    index, whose read is a view of the state and is copied here, as are the
     products, onto the thread's scratch (``_Scratch``). Either way the
     arithmetic runs on contiguous arrays, so both kernels perform the same
-    element operations. X is a pure swap: it equals ``0*x + 1*y`` bit
-    for bit except for the sign of a zero component, which the product can
-    flip. The swap, too, writes back from contiguous copies: numpy copies a
-    strided view into a strided view several times slower than to or from a
+    element operations. X is a pure swap: it equals ``0*x + 1*y`` bit for bit
+    except for the sign of a zero component, which the product can flip. The
+    swap, too, writes back from contiguous copies: numpy copies a strided
+    view into a strided view several times slower than to or from a
     contiguous array.
     """
-    x, y, p, q = amps[k1], amps[k2], None, None
+    x, y, p, q = xs[key], ys[key], None, None
     if not x.flags.owndata:
         x0, y0, p, q = _scratch(x)
         x0[...], y0[...] = x, y
         x, y = x0, y0
     if mat is None:
-        amps[k1] = y
-        amps[k2] = x
+        xs[key] = y
+        ys[key] = x
         return
     a, b, c, d = mat
-    amps[k1] = np.add(np.multiply(a, x, p), np.multiply(b, y, q), p)
-    amps[k2] = np.add(np.multiply(c, x, p), np.multiply(d, y, q), p)
+    xs[key] = np.add(np.multiply(a, x, p), np.multiply(b, y, q), p)
+    ys[key] = np.add(np.multiply(c, x, p), np.multiply(d, y, q), p)
 
 
 class _Scratch(threading.local):
@@ -260,9 +261,9 @@ class _Plan(NamedTuple):
     elements of ``dtype``: the state's, or a swap's run of ``2**run``
     amplitudes (see ``_plan``). Window ``w`` starts ``base`` plus the
     ``hops`` of the set bits of ``w``. ``view(amps)`` lays ``shape`` and
-    ``strides`` (in bytes) over the state: a lattice ``lat`` whose
-    ``lat[s, 0]`` and ``lat[s, 1]`` are the first and second elements of the
-    pairs of the window at ``s``, in iteration order."""
+    ``strides`` (in bytes) over the state: a lattice ``lat`` whose ``lat[s]``
+    are the first elements of the pairs of the window at ``s``, in iteration
+    order (for their partners, see the module docstring)."""
 
     base: int
     hops: tuple[int, ...]
@@ -313,11 +314,10 @@ def _plan(num_qubits: int, target: int, controls: tuple[int, ...], window: int,
             strides.append(step)
     if not strides:  # a one-element window
         shape, strides = [1], [1]
-    stride = 1 << (target - run)
-    reach = stride + sum((size - 1) * step for size, step in zip(shape, strides))
+    reach = sum((size - 1) * step for size, step in zip(shape, strides))
     es = np.dtype(dtype).itemsize << run
-    shape = ((1 << (num_qubits - run)) - reach, 2, *shape[::-1])
-    strides = tuple(es * step for step in (1, stride, *strides[::-1]))
+    shape = (((1 << num_qubits) - (1 << target) >> run) - reach, *shape[::-1])
+    strides = tuple(es * step for step in (1, *strides[::-1]))
     dtype = np.dtype((np.void, es)) if run else np.dtype(dtype)
     return _Plan(base >> run, tuple(steps[bits:]), shape, strides, dtype)
 
@@ -403,14 +403,14 @@ def _template(width: int, target: int) -> np.ndarray:
 def _resolve(amps: np.ndarray, gate: GateOp, strategy: Strategy, window: int):
     """Resolve ``gate`` once, in windows of ``window`` iterations over all of
     ``amps``. Returns ``step(w)``, which runs window ``w``: the baseline's
-    rows ``w``, the optimized kernel's at ``starts[w]`` on the plan's view
-    of all of ``amps``, which must be C-contiguous, as ``StateVector`` keeps
-    it (numpy raises ValueError). The baseline maps the starts of the rows of
+    rows ``w``, the optimized kernel's at ``starts[w]`` on the plan's views
+    of ``amps``, which must be C-contiguous, as ``StateVector`` keeps it
+    (numpy raises ValueError). The baseline maps the starts of the rows of
     every window once per call (see the module docstring)."""
     mat = _matrix_scalars(gate.matrix, amps.dtype)
+    t = gate.target
+    lower, upper = amps[: amps.shape[0] - (1 << t)], amps[1 << t:]
     if strategy is Strategy.BASELINE:
-        t = gate.target
-        stride = 1 << t
         cmask = sum(1 << c for c in gate.controls)
         width = min(window, _BLOCK)
         tpl = _template(width, min(t, width.bit_length() - 1))
@@ -421,18 +421,17 @@ def _resolve(amps: np.ndarray, gate: GateOp, strategy: Strategy, window: int):
             p1 = (tpl + rows[w]).ravel()
             p1 = p1[(p1 & cmask) == cmask]
             if p1.size:
-                _update_pairs(amps, p1, p1 + stride, mat)
+                _update_pairs(lower, upper, p1, mat)
 
         return step
 
     num_qubits = amps.shape[0].bit_length() - 1
-    plan = _plan(num_qubits, gate.target, gate.controls, window, mat is None, amps.dtype)
+    plan = _plan(num_qubits, t, gate.controls, window, mat is None, amps.dtype)
     starts = plan.starts()
-    lattice = plan.view(amps)
+    xs, ys = plan.view(lower), plan.view(upper)
 
     def step(w: int):
-        s = starts[w]
-        _update_pairs(lattice, (s, 0), (s, 1), mat)
+        _update_pairs(xs, ys, starts[w], mat)
 
     return step
 

@@ -1,9 +1,11 @@
 """Self-verification suites behind the ``verify`` CLI command.
 
-Two independent checks of the reduced-iteration scheduler:
+Three independent checks of the reduced-iteration scheduler:
 
 * every gate geometry (register size, target, ascending control subset) maps
   its reduced iterations, also through the kernel's plans, onto the active set;
+* at every larger register size, sampled geometries' plans of real windows
+  place sampled pairs where the mapping does, by arithmetic alone;
 * on random gates and random states, both schedulers produce bit-identical
   final state vectors.
 """
@@ -11,12 +13,12 @@ Two independent checks of the reduced-iteration scheduler:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from . import sched
-from .core import GateMatrix, GateOp, StateVector, gate_x
+from .core import MAX_QUBITS, PRECISION_DTYPES, GateMatrix, GateOp, StateVector, gate_x
 from .sched import Strategy, active_set_oracle, apply_gate, ith_cleared, reduced_to_global
 
 
@@ -62,7 +64,8 @@ def check_mapping(n: int, target: int, controls: tuple[int, ...]) -> Mismatch | 
         what = f"plan of {window}-iteration windows{' (swap)' if swap else ''}"
         try:
             plan = sched._plan(n, target, controls, window, swap, ids.dtype)
-            got = [plan.view(ids)[plan.starts(), k].view(ids.dtype).real.ravel() for k in (0, 1)]
+            got = [plan.view(ids[k << target:])[plan.starts()].view(ids.dtype).real.ravel()
+                   for k in (0, 1)]
         except Exception as exc:
             return Mismatch(n, target, controls, f"{what} raised {type(exc).__name__}: {exc}")
         if not (np.array_equal(got[0], want) and np.array_equal(got[1], want + (1 << target))):
@@ -80,6 +83,63 @@ def verify_mappings(n_max: int = 8) -> tuple[int, list[Mismatch]]:
         if miss is not None:
             mismatches.append(miss)
     return checked, mismatches
+
+
+def check_plan(n: int, gate: GateOp, window: int, plan, itemsize: int, rng) -> str | None:
+    """What is wrong with ``plan``, of ``gate`` in windows of ``window``
+    iterations over ``2**n`` amplitudes of ``itemsize`` bytes, or None, by
+    arithmetic on its fields alone: its lattice must fit the state also
+    ``2**t`` higher, and sampled pairs of its first, last and three seeded
+    windows must sit where the mapping puts them."""
+    t, controls, starts = gate.target, gate.controls, plan.starts()
+    if len(starts) * window != sched.iteration_count(Strategy.OPTIMIZED, n, gate):
+        return f"lists {len(starts)} windows"
+    es = plan.dtype.itemsize
+    per = es // itemsize  # amplitudes per element
+    if es % itemsize or any(stride <= 0 or stride % es for stride in plan.strides):
+        return f"has strides {plan.strides} of no whole {es}-byte elements"
+    steps = [stride // es for stride in plan.strides]
+    reach = sum((size - 1) * step for size, step in zip(plan.shape, steps))
+    span = (reach + 1) * per + (1 << t)  # amplitudes, with the partners 2**t higher
+    if not 0 <= min(starts) <= max(starts) < plan.shape[0] or span > 1 << n:
+        return f"has lattice {plan.shape} at starts up to {max(starts)}, past the state"
+    js = np.unique(np.concatenate(([0, window - 1], rng.integers(0, window, 6))))
+    coords = np.unravel_index(js // per, plan.shape[1:])
+    offset = sum(c * step for c, step in zip(coords, steps[1:]))
+    for w in sorted({0, len(starts) - 1, *rng.integers(0, len(starts), 3).tolist()}):
+        got = (starts[w] + offset) * per + js % per
+        want = ith_cleared(reduced_to_global(w * window + js, t, controls), t)
+        if not np.array_equal(got, want):
+            return f"places window {w}'s pairs {js.tolist()} at {got.tolist()} != {want.tolist()}"
+    return None
+
+
+def verify_plans(seed: int = 0) -> tuple[int, list[Mismatch]]:
+    """``check_plan`` on three seeded geometries of up to three controls at
+    every register size from 9 qubits to ``MAX_QUBITS``, in the windows of
+    one and two workers (``sched._window``), both precisions, swap and not.
+    Returns (plans checked, mismatches); a plan that raises is a mismatch."""
+    rng, mismatches = np.random.default_rng(seed), []
+    geometries = [(n, int(rng.integers(n))) for n in range(9, MAX_QUBITS + 1) for _ in range(3)]
+    cases = list(product((1, 2), PRECISION_DTYPES, (False, True)))
+    for n, t in geometries:
+        others = [q for q in range(n) if q != t]
+        controls = tuple(sorted(map(int, rng.choice(others, rng.integers(4), False))))
+        gate = GateOp(gate_x(), t, controls)
+        count = sched.iteration_count(Strategy.OPTIMIZED, n, gate)
+        for workers, precision, swap in cases:
+            window = min(count, sched._window(workers, Strategy.OPTIMIZED, gate))
+            dtype = np.dtype(PRECISION_DTYPES[precision])
+            try:
+                plan = sched._plan(n, t, controls, window, swap, dtype)
+                detail = check_plan(n, gate, window, plan, dtype.itemsize, rng)
+            except Exception as exc:
+                detail = f"raised {type(exc).__name__}: {exc}"
+            if detail is not None:
+                what = f"{precision}-precision plan of {window}-iteration windows"
+                what += " (swap)" if swap else ""
+                mismatches.append(Mismatch(n, t, controls, f"{what} {detail}"))
+    return len(geometries) * len(cases), mismatches
 
 
 def random_gate_matrix(rng: np.random.Generator) -> GateMatrix:

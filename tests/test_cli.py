@@ -267,6 +267,8 @@ class TestRun:
             for gate in (named_gate("h", 9), named_gate("x", 9, (0, 3)), named_gate("x", 17)):
                 for strategy in Strategy:
                     for threads in (1, 2):
+                        # a fresh scratch buffer, so the call pays what a cold one does
+                        monkeypatch.setattr(svsched.sched, "_scratch", svsched.sched._Scratch())
                         tracemalloc.start()
                         try:
                             apply_gate(state, gate, strategy, threads=threads)
@@ -396,7 +398,33 @@ class TestVerify:
         assert "mapping mismatch at (n=2, t=0, C={}): plan of 1-iteration windows" in out
         calls.clear()
         apply_gate(new_state(3), GateOp(gate_x(), 0), Strategy.OPTIMIZED)
-        assert len(calls) == 1
+        assert len(calls) == 2  # one view per half of the pairs
+
+    @pytest.mark.parametrize(
+        "wrong, where",
+        [
+            (lambda n, dtype: 25 <= n <= 29, "(n=25, "),
+            (lambda n, dtype: n == 30 and dtype == np.complex64, "(n=30, "),
+        ],
+        ids=["25-29", "single-30"],
+    )
+    def test_a_plan_wrong_only_at_large_registers_is_reported(
+        self, capsys, monkeypatch, wrong, where
+    ):
+        # bit 0 of the last hop flipped at sizes no test can hold a state of
+        real = svsched.sched._plan
+
+        def mutant(n, t, controls, window, swap, dtype):
+            plan = real(n, t, controls, window, swap, dtype)
+            if wrong(n, dtype) and plan.hops:
+                plan = plan._replace(hops=(*plan.hops[:-1], plan.hops[-1] ^ 1))
+            return plan
+
+        monkeypatch.setattr(svsched.sched, "_plan", mutant)
+        assert svsched.verify.verify_plans(22)[1]
+        code, out, err = run_cli(capsys, "verify", "--cases", "0")
+        assert code == EXIT_VERIFY and "Traceback" not in err
+        assert f"\nplan mismatch at {where}" in out
 
     def test_a_scheduler_that_raises_is_a_mismatch(self, capsys, monkeypatch):
         # the optimized scheduler fails on the first geometry it is given

@@ -28,8 +28,8 @@ def update_one_pair(state, p1, p2, matrix, view=False):
     """Update the one pair (p1, p2) through the kernels' executed pair update,
     selected by index arrays (a gather) or, with ``view``, by basic slices."""
     amps = state.amplitudes
-    k1, k2 = (slice(p1, p1 + 1), slice(p2, p2 + 1)) if view else ([p1], [p2])
-    _update_pairs(amps, k1, k2, _matrix_scalars(matrix, amps.dtype))
+    key = slice(p1, p1 + 1) if view else [p1]
+    _update_pairs(amps, amps[p2 - p1:], key, _matrix_scalars(matrix, amps.dtype))
 
 
 class TestNewState:

@@ -39,10 +39,9 @@ from svsched import (
 )
 import svsched.cli
 from svsched import sched
-from svsched.core import MAX_QUBITS
 from svsched.oracle import dense_apply, gate_to_dense
 from svsched.sched import _BLOCK, _MIN_CHUNK, _worker_count
-from svsched.verify import all_geometries, random_gate_matrix, random_state
+from svsched.verify import all_geometries, random_gate_matrix, random_state, verify_plans
 from conftest import basis_state
 
 
@@ -644,24 +643,28 @@ class PairRecorder:
     """Records, at the pair update, the basis indices of both elements of
     every pair the kernels update on ``amps``, one entry per window run.
 
-    A kernel selects the pairs of a window from an array ``arr`` by index
-    arrays (the baseline, on the state itself) or by basic indices into a
-    strided view of the state (the optimized kernel). Either way the same
-    key on ``arr``'s data offset and strides, laid over ``arange`` instead
-    of the amplitudes, gives the basis indices. An element of a swap's view
-    may be a run of several amplitudes; it stands for all of them, in order.
+    A kernel selects the pairs of a window with one key into two arrays,
+    ``xs`` and ``ys``: an index array into the state (the baseline) or a
+    basic index into a strided view of it (the optimized kernel). Either way
+    the key on an array's data offset and strides, laid over ``arange``
+    instead of the amplitudes, gives the basis indices. An element of a
+    swap's view may be a run of several amplitudes; it stands for all of
+    them, in order.
     """
 
     def __init__(self, monkeypatch):
         self.amps = None
-        self.seen = []  # (first indices, second indices) per update
+        self.seen = []  # (first indices, second indices, bytes from xs to ys) per update
         self.widths = set()  # amplitudes per element of the arrays updated
         update = sched._update_pairs
 
-        def spy(arr, k1, k2, mat):
-            self.seen.append((self.indices(arr, k1), self.indices(arr, k2)))
-            self.widths.add(arr.itemsize // self.amps.itemsize)
-            update(arr, k1, k2, mat)
+        def spy(xs, ys, key, mat):
+            # one pair definition: ys is xs laid over the state higher up
+            assert (ys.shape, ys.dtype, ys.strides) == (xs.shape, xs.dtype, xs.strides)
+            gap = ys.__array_interface__["data"][0] - xs.__array_interface__["data"][0]
+            self.seen.append((self.indices(xs, key), self.indices(ys, key), gap))
+            self.widths.add(xs.itemsize // self.amps.itemsize)
+            update(xs, ys, key, mat)
 
         monkeypatch.setattr(sched, "_update_pairs", spy)
 
@@ -676,10 +679,11 @@ class PairRecorder:
         return (np.array(lay[key])[..., None] + np.arange(width)).ravel()
 
     def first_indices(self, stride) -> np.ndarray:
-        """The first pair elements in update order; checks every partner."""
-        for p1, p2 in self.seen:
-            assert np.array_equal(p2, p1 + stride)
-        return np.concatenate([p1 for p1, _ in self.seen] or [np.empty(0, np.int64)])
+        """The first pair elements in update order; checks every partner,
+        and that each update's ys starts ``stride`` amplitudes past its xs."""
+        for p1, p2, gap in self.seen:
+            assert np.array_equal(p2, p1 + stride) and gap == stride * self.amps.itemsize
+        return np.concatenate([p1 for p1, _, _ in self.seen] or [np.empty(0, np.int64)])
 
 
 def expected_pair_indices(strategy, n, t, controls) -> np.ndarray:
@@ -924,24 +928,11 @@ class TestPlan:
         # Without a state: at every register size the CLI accepts, sampled
         # pairs of the first, last and seeded windows of each plan, read
         # from its starts, shape, byte strides and element size alone, are
-        # the pairs the mapping gives, and its lattice stays in the state.
-        rng = np.random.default_rng(22)
+        # the pairs the mapping gives, and its lattice stays in the state
+        # also 2**t higher (verify.check_plan).
         tracemalloc.start()
         try:
-            for n in range(9, MAX_QUBITS + 1):
-                for _ in range(3):
-                    t = int(rng.integers(n))
-                    others = [q for q in range(n) if q != t]
-                    k = int(rng.integers(0, 4))
-                    controls = tuple(sorted(int(c) for c in rng.choice(others, k, False)))
-                    gate = GateOp(gate_x(), t, controls)
-                    count = iteration_count(Strategy.OPTIMIZED, n, gate)
-                    for workers in (1, 2):
-                        window = min(count, sched._window(workers, Strategy.OPTIMIZED, gate))
-                        for dtype in map(np.dtype, (np.complex128, np.complex64)):
-                            for swap in (False, True):
-                                plan = sched._plan(n, t, controls, window, swap, dtype)
-                                check_plan(plan, n, gate, window, dtype.itemsize, rng)
+            assert verify_plans(22) == (528, [])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -951,31 +942,6 @@ class TestPlan:
         # every cache of per-gate work, not only the plans
         for cache in CACHES:
             assert 0 < cache.cache_info().maxsize <= 4096
-
-
-def check_plan(plan, n, gate, window, itemsize, rng):
-    """Assert that ``plan`` places the sampled pairs of its first, last and
-    three seeded windows of ``window`` iterations as the mapping does, and
-    that its lattice lies within ``2**n`` amplitudes of ``itemsize`` bytes,
-    by integer arithmetic on the plan's fields alone."""
-    t, controls = gate.target, gate.controls
-    starts = plan.starts()
-    windows = len(starts)
-    assert windows * window == iteration_count(Strategy.OPTIMIZED, n, gate)
-    es = plan.dtype.itemsize
-    per = es // itemsize  # amplitudes per element
-    assert all(stride % es == 0 for stride in plan.strides)
-    steps = [stride // es for stride in plan.strides]
-    assert steps[1] * per == 1 << t and 0 <= min(starts) <= max(starts) < plan.shape[0]
-    reach = sum((size - 1) * step for size, step in zip(plan.shape, steps))
-    assert (reach + 1) * per <= 1 << n
-    js = np.unique(np.concatenate(([0, window - 1], rng.integers(0, window, 6))))
-    coords = np.unravel_index(js // per, plan.shape[2:])
-    offset = sum(c * step for c, step in zip(coords, steps[2:]))
-    for w in {0, windows - 1, *rng.integers(0, windows, 3).tolist()}:
-        got = (starts[w] + offset) * per + js % per
-        want = ith_cleared(reduced_to_global(w * window + js, t, controls), t)
-        assert np.array_equal(got, want), (n, t, controls, window, es, w)
 
 
 CACHES = (sched._plan, sched._template)
@@ -1107,9 +1073,9 @@ class TestMatrixScalars:
         mats = []
         update = sched._update_pairs
 
-        def spy(arr, k1, k2, mat):
+        def spy(xs, ys, key, mat):
             mats.append(mat)
-            update(arr, k1, k2, mat)
+            update(xs, ys, key, mat)
 
         monkeypatch.setattr(sched, "_update_pairs", spy)
         updates = (16, 8, 4)
@@ -1460,9 +1426,9 @@ class TestWorkerWindows:
         kept = []  # pairs each baseline window updates, from its index array
         update = sched._update_pairs
 
-        def spy(arr, k1, k2, mat):
-            kept.append(np.size(k1))
-            update(arr, k1, k2, mat)
+        def spy(xs, ys, key, mat):
+            kept.append(np.size(key))
+            update(xs, ys, key, mat)
 
         monkeypatch.setattr(sched, "_update_pairs", spy)
         gates = (
