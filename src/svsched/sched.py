@@ -292,12 +292,12 @@ def _plan(num_qubits: int, target: int, controls: tuple[int, ...], window: int,
 
     The mapping is a bit deposit: it spreads the bits of ``i`` over fixed
     positions and ORs in fixed bits, ``base``. So the step of bit ``b``, the
-    mapping of ``2**b`` less ``base``, places every pair: the window index's
-    bits step by the hops, and each window is one lattice, whose axes merge
-    runs of doubling steps. A swap's ``run`` lowest iteration bits step 1, 2,
-    4, ... amplitudes, as qubits ``0..run-1`` are neither target nor control
-    (and ``run`` is at most the window's bits), so each run of ``2**run``
-    pairs is one opaque ``np.void`` element, copied whole; else ``run`` is 0.
+    mapping of ``2**b`` less ``base``, places each pair (module docstring):
+    the window index's bits step by the hops, and each window is one lattice,
+    whose axes merge runs of doubling steps. A swap's ``run`` lowest iteration
+    bits step 1, 2, 4, ... amplitudes, as qubits ``0..run-1`` are neither
+    target nor control (and ``run`` is at most the window's bits), so each run
+    of ``2**run`` pairs is one opaque ``np.void`` element; else ``run`` is 0.
     """
     bits = window.bit_length() - 1
     reduced = num_qubits - 1 - len(controls)
