@@ -28,15 +28,15 @@ target plus the row's start. A warm gate builds only its scalars, its two
 views and list of window starts, or its row starts.
 
 A gate runs in windows sized by the number of workers that run at once,
-by one rule for both kernels (``_window``). The baseline frees a window's
-temporaries before the next; the optimized kernel keeps its on a scratch
-buffer per thread (``_Scratch``). Either way they are O(window) per worker
-whatever the register size. Each gate a call resolves holds one table over
-the whole register, a tiled run's gates all at once: the optimized kernel's
-window starts, 40 bytes a window (an int and its list slot; 45 at the
-traced peak), or the baseline's row starts, 8 bytes a row of up to 4,096
-iterations (24 at the peak); 2.5 MiB or 1 MiB for an uncontrolled gate on
-30 qubits on one worker. One gate's windows write disjoint pairs.
+by one rule for both kernels (``_window``). Both copy a window's pairs, and
+compute its products, on a kept scratch buffer per thread (``_Scratch``), so
+window temporaries are O(window) per worker whatever the register size.
+Each gate a call resolves holds one table over the whole register, a tiled
+run's gates all at once: the optimized kernel's window starts, 40 bytes a
+window (an int and its list slot; 45 at the traced peak), or the baseline's
+row starts, 8 bytes a row of up to 4,096 iterations (24 at the peak); 2.5
+MiB or 1 MiB for an uncontrolled gate on 30 qubits on one worker. One
+gate's windows write disjoint pairs.
 
 One executor (``_apply_run``) runs a run of gates over the tiles of the
 state: each gate's qubits are below ``b``, and a tile is ``2**b``
@@ -72,8 +72,8 @@ _MIN_CHUNK = 1 << 15
 
 # Iterations per block: a baseline row (see _template), and half a window
 # on one worker (see _window). A window's complex128 copy is then 128 KiB,
-# glibc's initial mmap threshold: fresh copies each window had a cold run
-# qft:18 fault 195,348 times (0.45 s), against 1,821 (0.20 s) on _Scratch.
+# glibc's initial mmap threshold: fresh copies each window had a cold baseline
+# run qft:18 fault 219,431 times (0.47 s), against 1,704 (0.17 s) on _Scratch.
 _BLOCK = 1 << 12
 
 # Work on several workers at once runs in windows 2**_WIDE_SHIFT times wider,
@@ -82,13 +82,12 @@ _BLOCK = 1 << 12
 # shifts 0-3 (medians of 21).
 _WIDE_SHIFT = 2
 
-# Bytes of window temporaries per worker (see window_bytes, and _window for
-# the window sizes). Traced with tracemalloc on 18 qubits, cold caches, a
-# double-precision h under the baseline peaks at 739 KiB on one worker and
-# 2,356-2,868 KiB for two. The optimized kernel's _Scratch keeps four copies
-# of a window per thread, 512 KiB on one worker and 1 MiB on each of several:
-# a process running both kernels peaked at 1,254 and 3,895-4,920 KiB. A
-# call's table of starts comes on top (see the module docstring).
+# Bytes of window temporaries per worker (see window_bytes and _window):
+# _Scratch's four window copies, 512 KiB on one worker and 1 MiB on each of
+# several, and the baseline's index arrays. A double-precision h on 18 qubits,
+# run by both kernels in turn from a fresh scratch, peaks at 685 KiB on one
+# worker and 2,503-2,647 KiB for two (tracemalloc). Tables of starts come on
+# top (see the module docstring).
 _WORKER_BYTES = 1 << 20  # one worker
 _WIDE_WORKER_BYTES = 2 << 20  # each of several workers
 
@@ -186,15 +185,17 @@ class Strategy(str, Enum):
 
 def iteration_count(strategy: Strategy, num_qubits: int, gate: GateOp) -> int:
     """Iterations a scheduler runs for ``gate``: 2**(n-1) baseline,
-    2**(n-n_c-1) optimized.
-
-    Raises ValueError if a qubit of the gate is outside the register.
-    """
+    2**(n-n_c-1) optimized; ValueError if a qubit is outside the register."""
     top = max((gate.target, *gate.controls))
     if top >= num_qubits:
         raise ValueError(f"qubit {top} out of range for a {num_qubits}-qubit register")
-    n_c = len(gate.controls) if Strategy(strategy) is Strategy.OPTIMIZED else 0
+    n_c = len(gate.controls) if _member(strategy) is Strategy.OPTIMIZED else 0
     return 1 << (num_qubits - 1 - n_c)
+
+
+def _member(strategy) -> Strategy:
+    """``strategy`` if a member, else the member of that value or ValueError."""
+    return strategy if type(strategy) is Strategy else Strategy(strategy)
 
 
 def _matrix_scalars(m: GateMatrix, dtype) -> tuple | None:
@@ -209,21 +210,23 @@ def _update_pairs(xs: np.ndarray, ys: np.ndarray, key, mat: tuple | None):
     """Apply [[a, b], [c, d]] to every pair (xs[key], ys[key]) (see the module
     docstring), or swap each where ``mat`` is None, an X (``_matrix_scalars``).
 
-    The key is an index array, whose read is a gathered copy, or a basic
-    index, whose read is a view of the state and is copied here, as are the
-    products, onto the thread's scratch (``_Scratch``). Either way the
-    arithmetic runs on contiguous arrays, so both kernels perform the same
-    element operations. X is a pure swap: it equals ``0*x + 1*y`` bit for bit
-    except for the sign of a zero component, which the product can flip. The
-    swap, too, writes back from contiguous copies: numpy copies a strided
-    view into a strided view several times slower than to or from a
-    contiguous array.
-    """
-    x, y, p, q = xs[key], ys[key], None, None
-    if not x.flags.owndata:
-        x0, y0, p, q = _scratch(x)
-        x0[...], y0[...] = x, y
-        x, y = x0, y0
+    Both halves and both products go on the thread's scratch (``_Scratch``),
+    so both kernels run the same element operations on contiguous arrays: a
+    basic key's view, such as a window start's, is copied onto it, and an
+    index array, the baseline's key, gathers onto it by ``take`` ("wrap"
+    checks no bounds; the write-back with the same key raises IndexError
+    before it writes). X is a pure swap: it equals ``0*x + 1*y`` bit for bit
+    but for the sign of a zero component, which the product can flip; it,
+    too, writes back from the copies, as numpy copies strided to strided
+    several times slower."""
+    if isinstance(key, (int, slice)):
+        vx, vy = xs[key], ys[key]
+        x, y, p, q = _scratch(vx.shape, vx.dtype)
+        x[...], y[...] = vx, vy
+    else:
+        x, y, p, q = _scratch(np.shape(key), xs.dtype)
+        xs.take(key, 0, x, "wrap")
+        ys.take(key, 0, y, "wrap")
     if mat is None:
         xs[key] = y
         ys[key] = x
@@ -234,22 +237,22 @@ def _update_pairs(xs: np.ndarray, ys: np.ndarray, key, mat: tuple | None):
 
 
 class _Scratch(threading.local):
-    """A thread's buffer, and its views by shape, for the copies and products
-    of the optimized kernel's windows: grown to the largest window asked
-    for and kept, so that a window allocates nothing (see ``_BLOCK``)."""
+    """A thread's buffer, and its views by shape and dtype, for the copies
+    and products of either kernel's windows: grown to the largest window
+    asked for and kept, so that a window allocates no copies (``_BLOCK``)."""
 
     def __init__(self):
         self.buf, self.views = np.empty(0, np.uint8), {}
 
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Four C-contiguous arrays shaped like ``x`` on the buffer."""
-        key = x.shape, x.dtype
-        views = self.views.get(key)
+    def __call__(self, shape: tuple, dtype: np.dtype) -> tuple[np.ndarray, ...]:
+        """Four C-contiguous arrays of ``shape`` and ``dtype`` on the buffer."""
+        views = self.views.get((shape, dtype))
         if views is None:
-            if self.buf.size < 4 * x.nbytes or len(self.views) >= 256:
-                self.buf = np.empty(max(self.buf.size, 4 * x.nbytes), np.uint8)
+            nbytes = 4 * dtype.itemsize * int(np.prod(shape))
+            if self.buf.size < nbytes or len(self.views) >= 256:
+                self.buf = np.empty(max(self.buf.size, nbytes), np.uint8)
                 self.views = {}
-            views = self.views[key] = tuple(np.ndarray((4, *x.shape), x.dtype, self.buf))
+            views = self.views[shape, dtype] = tuple(np.ndarray((4, *shape), dtype, self.buf))
         return views
 
 
@@ -444,7 +447,7 @@ def apply_gate(
     threads: int = 1,
 ) -> int:
     """Execute one gate with the chosen strategy; returns iterations executed."""
-    return _apply_run(state, [gate], Strategy(strategy), threads, state.num_qubits)
+    return _apply_run(state, [gate], _member(strategy), threads, state.num_qubits)
 
 
 def _tile_groups(gates: list[GateOp], strategy: Strategy, bits: int) -> list[list[GateOp]]:
@@ -521,16 +524,13 @@ def apply_circuit(
     *,
     threads: int = 1,
 ) -> int:
-    """Execute a circuit's gates in order; runs of gates that fit a tile are
-    applied tile by tile (see the module docstring).
-
-    Returns the total number of iterations executed across all gates.
-    """
+    """Execute a circuit's gates in order, runs of gates that fit a tile
+    tile by tile (see the module docstring); returns the iterations run."""
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit is over {circuit.num_qubits} qubits, state over {state.num_qubits}"
         )
-    strategy = Strategy(strategy)
+    strategy = _member(strategy)
     tile = (_TILE_BYTES // state.amplitudes.itemsize).bit_length() - 1
     bits = min(state.num_qubits, tile)
     executed = 0

@@ -256,26 +256,29 @@ class TestRun:
     def test_working_set_figures_bound_the_traced_peaks(self, monkeypatch):
         # the pre-flight figures must stay above what the code allocates
         # beyond the state: each worker's gate, on one worker and on two
-        # with their wider windows, and the output pass per chunk
-        # amplitude, with k small and with k filling the chunk, on a random
-        # state and on one where every probability ties
+        # with their wider windows, under each kernel and under both in
+        # turn, as a process running both does, and the output pass per
+        # chunk amplitude, with k small and with k filling the chunk, on a
+        # random state and on one where every probability ties
         monkeypatch.setattr(svsched.sched, "usable_cpus", lambda: 2)
         rng = np.random.default_rng(7)
+        kernels = [(s,) for s in Strategy] + [(Strategy.OPTIMIZED, Strategy.BASELINE)]
         for precision in ("double", "single"):
             state = new_state(18, precision)
             apply_circuit(state, Circuit(18, [named_gate("h", q) for q in range(18)]))
             for gate in (named_gate("h", 9), named_gate("x", 9, (0, 3)), named_gate("x", 17)):
-                for strategy in Strategy:
+                for strategies in kernels:
                     for threads in (1, 2):
                         # a fresh scratch buffer, so the call pays what a cold one does
                         monkeypatch.setattr(svsched.sched, "_scratch", svsched.sched._Scratch())
                         tracemalloc.start()
                         try:
-                            apply_gate(state, gate, strategy, threads=threads)
+                            for strategy in strategies:
+                                apply_gate(state, gate, strategy, threads=threads)
                             peak = tracemalloc.get_traced_memory()[1]
                         finally:
                             tracemalloc.stop()
-                        assert peak <= svsched.sched.window_bytes(threads), (gate, threads)
+                        assert peak <= svsched.sched.window_bytes(threads), (gate, strategies, threads)
             dtype = state.amplitudes.dtype
             random = rng.standard_normal(1 << 18).astype(dtype)
             tied = np.full(1 << 18, 2**-9, dtype=dtype)  # every entry ties

@@ -226,6 +226,32 @@ class TestIterationCounts:
             assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
         assert iteration_count(strategy.value, n, gate) == iteration_count(strategy, n, gate)
 
+    def test_a_public_call_coerces_its_strategy_once(self, monkeypatch):
+        # a member runs every gate of a call without a coercion, and a value
+        # string is coerced once at the public entry it is passed to
+        calls = []
+        meta = type(Strategy)
+        coerce = meta.__call__
+
+        def spy(cls, *args, **kwargs):
+            if cls is Strategy:
+                calls.append(args)
+            return coerce(cls, *args, **kwargs)
+
+        monkeypatch.setattr(meta, "__call__", spy)
+        circuit = gen_squaring(3)  # tiled runs and gates run whole
+        gate = circuit.gates[-1]
+        for strategy in Strategy:
+            for how, want in ((strategy, []), (strategy.value, [(strategy.value,)])):
+                for run in (
+                    lambda: apply_circuit(new_state(circuit.num_qubits), circuit, how),
+                    lambda: apply_gate(new_state(circuit.num_qubits), gate, how),
+                    lambda: iteration_count(how, circuit.num_qubits, gate),
+                ):
+                    calls.clear()
+                    run()
+                    assert calls == want, (how, run)
+
     def test_unknown_strategy_name_raises(self):
         gate = GateOp(gate_x(), 0, (1,))
         with pytest.raises(ValueError, match="bogus"):
@@ -237,6 +263,24 @@ class TestIterationCounts:
 
 
 class TestBaselineApply:
+    @pytest.mark.parametrize("matrix", [gate_h(), gate_x()], ids=["h", "x"])
+    def test_an_index_past_the_state_raises_and_writes_nothing(self, rng, monkeypatch, matrix):
+        # the gather onto the scratch wraps an index past the state, and the
+        # write-back with the same key must raise before it writes any pair
+        template = sched._template
+
+        def past(width, target):
+            tpl = template(width, target).copy()
+            tpl[-1] += 1 << 10
+            return tpl
+
+        monkeypatch.setattr(sched, "_template", past)
+        state = random_state(rng, 10)
+        before = state.amplitudes.tobytes()
+        with pytest.raises(IndexError):
+            apply_gate(state, GateOp(matrix, 3), Strategy.BASELINE)
+        assert state.amplitudes.tobytes() == before
+
     def test_uncontrolled_x(self):
         state = new_state(3)
         apply_gate(state, GateOp(gate_x(), 0), Strategy.BASELINE)
@@ -661,6 +705,8 @@ class PairRecorder:
         def spy(xs, ys, key, mat):
             # one pair definition: ys is xs laid over the state higher up
             assert (ys.shape, ys.dtype, ys.strides) == (xs.shape, xs.dtype, xs.strides)
+            # an index array is gathered by take, never from a plan's view
+            assert isinstance(key, int) or (xs.ndim == 1 and xs.flags.c_contiguous)
             gap = ys.__array_interface__["data"][0] - xs.__array_interface__["data"][0]
             self.seen.append((self.indices(xs, key), self.indices(ys, key), gap))
             self.widths.add(xs.itemsize // self.amps.itemsize)
@@ -998,21 +1044,28 @@ class TestWarmGates:
             calls.clear()
 
     @pytest.mark.parametrize("precision", ["double", "single"])
-    def test_warm_optimized_windows_allocate_no_copies(self, precision):
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_warm_windows_allocate_no_pair_copies(self, strategy, precision):
         # an h and an x of 2**18 iterations on one worker: 32 windows of
         # 2 * _BLOCK pairs, whose copies and products go on the thread's
-        # scratch, so a warm call allocates less than one window's pairs
+        # scratch under either kernel, so a warm call allocates less than
+        # one window's pairs, or under the baseline only its index arrays:
+        # row indices, their masked bits, the mask and the survivors
         state = new_state(19, precision)
+        bound = {
+            Strategy.OPTIMIZED: 2 * _BLOCK * state.amplitudes.itemsize,
+            Strategy.BASELINE: 4 * 8 * 2 * _BLOCK,
+        }[strategy]
         for matrix in (gate_h(), gate_x()):
             gate = GateOp(matrix, 9)
-            apply_gate(state, gate, Strategy.OPTIMIZED)
+            apply_gate(state, gate, strategy)
             tracemalloc.start()
             try:
-                apply_gate(state, gate, Strategy.OPTIMIZED)
+                apply_gate(state, gate, strategy)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 2 * _BLOCK * state.amplitudes.itemsize, matrix
+            assert peak < bound, matrix
 
     def test_high_targets_share_one_template(self):
         clear_caches()
@@ -1466,7 +1519,8 @@ class TestWorkerWindows:
             assert len(groups) == 2 and groups[0] == groups[1]
             assert any(len(group) > 1 for group in groups[0])
 
-    def test_workers_keep_their_own_scratch(self, rng, monkeypatch):
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_workers_keep_their_own_scratch(self, rng, monkeypatch, strategy):
         # four workers, more than the cores of a small host, handing over
         # the interpreter lock every microsecond: workers that shared a
         # scratch buffer would mix the copies of their windows
@@ -1475,13 +1529,13 @@ class TestWorkerWindows:
         gates = (GateOp(gate_h(), 9), GateOp(gate_x(), 3, (0,))) * 4
         want = StateVector(18, amps.copy())
         for gate in gates:
-            apply_gate(want, gate, Strategy.OPTIMIZED)
+            apply_gate(want, gate, strategy)
         got = StateVector(18, amps.copy())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for gate in gates:
-                apply_gate(got, gate, Strategy.OPTIMIZED, threads=4)
+                apply_gate(got, gate, strategy, threads=4)
         finally:
             sys.setswitchinterval(interval)
         assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
