@@ -1,6 +1,5 @@
 import os
 import signal
-import sys
 import threading
 import time
 import tracemalloc
@@ -1046,26 +1045,33 @@ class TestWarmGates:
     @pytest.mark.parametrize("precision", ["double", "single"])
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_warm_windows_allocate_no_pair_copies(self, strategy, precision):
-        # an h and an x of 2**18 iterations on one worker: 32 windows of
-        # 2 * _BLOCK pairs, whose copies and products go on the thread's
-        # scratch under either kernel, so a warm call allocates less than
-        # one window's pairs, or under the baseline only its index arrays:
-        # row indices, their masked bits, the mask and the survivors
+        # an h and an x on target 9 of 2**18 iterations on one worker, whose
+        # copies and products go on the thread's scratch under either kernel,
+        # so a warm call allocates less than one window's pairs, or under the
+        # baseline only one window's index arrays: its first pair indices,
+        # and for a controlled gate their masked bits, the mask, and the
+        # survivors with their indices. Control 0 flips the mask on every
+        # iteration, control 12 does not; both halve a window of 4 * _BLOCK
+        # iterations. 8 KiB more covers the call's row starts and objects.
         state = new_state(19, precision)
-        bound = {
-            Strategy.OPTIMIZED: 2 * _BLOCK * state.amplitudes.itemsize,
-            Strategy.BASELINE: 4 * 8 * 2 * _BLOCK,
-        }[strategy]
-        for matrix in (gate_h(), gate_x()):
-            gate = GateOp(matrix, 9)
-            apply_gate(state, gate, strategy)
-            tracemalloc.start()
-            try:
+        for controls in ((), (0,), (12,)):
+            window = one_worker_window(strategy, controls)
+            kept = window >> len(controls)
+            arrays = 8 * window + (9 * window + 16 * kept if controls else 0)
+            bound = {
+                Strategy.OPTIMIZED: 2 * _BLOCK * state.amplitudes.itemsize,
+                Strategy.BASELINE: arrays + (8 << 10),
+            }[strategy]
+            for matrix in (gate_h(), gate_x()):
+                gate = GateOp(matrix, 9, controls)
                 apply_gate(state, gate, strategy)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound, matrix
+                tracemalloc.start()
+                try:
+                    apply_gate(state, gate, strategy)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < bound, (matrix, controls)
 
     def test_high_targets_share_one_template(self):
         clear_caches()
@@ -1521,23 +1527,41 @@ class TestWorkerWindows:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_workers_keep_their_own_scratch(self, rng, monkeypatch, strategy):
-        # four workers, more than the cores of a small host, handing over
-        # the interpreter lock every microsecond: workers that shared a
-        # scratch buffer would mix the copies of their windows
+        # four workers on a pool of their own: a spy on the scratch records
+        # the threads that get each buffer, and holds each thread's first
+        # window until a second thread has asked too, so at least two
+        # threads share the work whatever the host's scheduling; a scratch
+        # shared between threads gives one buffer a second owner
         monkeypatch.setattr(sched, "usable_cpus", lambda: 4)
         amps = random_state(rng, 18).amplitudes
-        gates = (GateOp(gate_h(), 9), GateOp(gate_x(), 3, (0,))) * 4
+        gates = (GateOp(gate_h(), 9), GateOp(gate_x(), 3, (0,)))
         want = StateVector(18, amps.copy())
         for gate in gates:
             apply_gate(want, gate, strategy)
+        owners, kept, lock, two = {}, [], threading.Lock(), threading.Event()
+        call = sched._Scratch.__call__
+
+        def spy(self, shape, dtype):
+            views = call(self, shape, dtype)
+            with lock:
+                kept.append(self.buf)  # so no buffer's id is reused
+                owners.setdefault(id(self.buf), set()).add(threading.get_ident())
+                if len(set().union(*owners.values())) > 1:
+                    two.set()
+            assert two.wait(10), "a second thread never asked for a scratch"
+            return views
+
+        monkeypatch.setattr(sched._Scratch, "__call__", spy)
+        pool = ThreadPoolExecutor(max_workers=4)
+        monkeypatch.setattr(sched, "_pool", lambda: pool)
         got = StateVector(18, amps.copy())
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
         try:
             for gate in gates:
                 apply_gate(got, gate, strategy, threads=4)
         finally:
-            sys.setswitchinterval(interval)
+            pool.shutdown()
+        assert len(set().union(*owners.values())) > 1
+        assert all(len(threads) == 1 for threads in owners.values()), owners
         assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
     @pytest.mark.parametrize("strategy", list(Strategy))
