@@ -27,7 +27,15 @@ from .circuits import (
     parse_int,
     serialize_circuit,
 )
-from .core import MAX_QUBITS, PRECISION_DTYPES, CapacityError, Circuit, new_state, norm_sq
+from .core import (
+    MAX_QUBITS,
+    PAGE_BYTES,
+    PRECISION_DTYPES,
+    CapacityError,
+    Circuit,
+    new_state,
+    norm_sq,
+)
 from .sched import Strategy, apply_circuit, usable_cpus, window_bytes
 from .verify import verify_equivalence, verify_mappings, verify_plans
 
@@ -140,13 +148,14 @@ def _mem_available(path: str = "/proc/meminfo") -> int | None:
 
 
 def _check_memory(num_qubits: int, precision: str, top_k: int | None, threads: int) -> None:
-    """Raise CapacityError unless the state, ``run``'s output chunk and every
+    """Raise CapacityError unless the state as new_state allocates it, its
+    amplitudes and a page of slack, ``run``'s output chunk and every
     worker's window temporaries fit in MemAvailable; skipped when that
     cannot be read, and for registers above the cap, which new_state rejects.
     ``top_k`` is None for ``bench``, which prints no amplitudes."""
     if num_qubits > MAX_QUBITS:
         return
-    state = np.dtype(PRECISION_DTYPES[precision]).itemsize << num_qubits
+    state = (np.dtype(PRECISION_DTYPES[precision]).itemsize << num_qubits) + PAGE_BYTES
     needed = state + window_bytes(threads)
     if top_k is not None:
         needed += max(_CHUNK, min(top_k, 1 << num_qubits)) * _CHUNK_BYTES

@@ -22,6 +22,10 @@ MAX_QUBITS = 30
 
 PRECISION_DTYPES = {"double": np.complex128, "single": np.complex64}
 
+#: Every state the simulator allocates starts on a boundary of this many
+#: bytes, a page and so a 64-byte cache line, and holds this much slack.
+PAGE_BYTES = 4096
+
 _UNITARY_TOL = 1e-10
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -123,37 +127,60 @@ class Circuit:
         return len(self.gates)
 
 
+def _zeros(count: int, dtype) -> np.ndarray:
+    """``count`` zeros of ``dtype`` starting on a ``PAGE_BYTES`` boundary: a
+    view of a byte buffer one page longer, which the view keeps alive."""
+    nbytes = count * np.dtype(dtype).itemsize
+    buf = np.zeros(nbytes + PAGE_BYTES, np.uint8)
+    skip = -buf.ctypes.data % PAGE_BYTES
+    return buf[skip: skip + nbytes].view(dtype)
+
+
 class StateVector:
     """Dense array of 2**num_qubits complex amplitudes, indexed by basis state:
-    one C-contiguous complex64 or complex128 array, a copy of any other."""
+    one C-contiguous complex64 or complex128 array.
+
+    An array handed in as such is kept as it is, wherever it starts, so the
+    state shares its memory. Any other, strided or not complex, is copied,
+    as complex128 unless it is complex64, onto a fresh array that starts on
+    a page (``PAGE_BYTES``), as ``copy`` and ``new_state`` place theirs. A
+    state on a 64-byte line has its runs of pairs span the fewest lines."""
 
     __slots__ = ("num_qubits", "amplitudes")
 
     def __init__(self, num_qubits: int, amplitudes: np.ndarray):
         amplitudes = np.asarray(amplitudes)
-        if amplitudes.dtype not in (np.complex64, np.complex128):
-            amplitudes = amplitudes.astype(np.complex128)
         if amplitudes.shape != (1 << num_qubits,):
             raise ValueError(
                 f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, "
                 f"got shape {amplitudes.shape}"
             )
+        is_complex = amplitudes.dtype in (np.complex64, np.complex128)
+        if not (is_complex and amplitudes.flags.c_contiguous):
+            given = amplitudes
+            amplitudes = _zeros(given.size, given.dtype if is_complex else np.complex128)
+            np.copyto(amplitudes, given, casting="unsafe")
         self.num_qubits = num_qubits
-        self.amplitudes = np.ascontiguousarray(amplitudes)
+        self.amplitudes = amplitudes
 
     @property
     def precision(self) -> str:
         return "single" if self.amplitudes.dtype == np.complex64 else "double"
 
     def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
+        """A state of the same amplitudes on a fresh array on a page."""
+        amplitudes = _zeros(self.amplitudes.size, self.amplitudes.dtype)
+        amplitudes[...] = self.amplitudes
+        return StateVector(self.num_qubits, amplitudes)
 
     def __repr__(self) -> str:
         return f"StateVector(num_qubits={self.num_qubits}, precision={self.precision!r})"
 
 
 def new_state(num_qubits: int, precision: str = "double") -> StateVector:
-    """Allocate the |0...0> state.
+    """Allocate the |0...0> state, on an array that starts on a page
+    (``PAGE_BYTES``, so also on a 64-byte cache line), whatever the
+    allocator would have placed it at.
 
     Raises CapacityError unless 1 <= num_qubits <= MAX_QUBITS (=30).
     """
@@ -165,7 +192,7 @@ def new_state(num_qubits: int, precision: str = "double") -> StateVector:
         dtype = PRECISION_DTYPES[precision]
     except KeyError:
         raise ValueError(f"unknown precision {precision!r}") from None
-    amplitudes = np.zeros(1 << num_qubits, dtype=dtype)
+    amplitudes = _zeros(1 << num_qubits, dtype)
     amplitudes[0] = 1.0
     return StateVector(num_qubits, amplitudes)
 

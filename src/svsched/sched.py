@@ -89,11 +89,11 @@ _BLOCK = 1 << 12
 _WIDE_SHIFT = 2
 
 # Bytes of window temporaries per worker (see window_bytes and _window):
-# _Scratch's four window copies, 512 KiB on one worker and 1 MiB on each of
-# several, and the baseline's index arrays. A double-precision h on 18 qubits,
-# run by both kernels in turn from a fresh scratch, peaks at 685 KiB on one
-# worker and 2,503-2,647 KiB for two (tracemalloc). Tables of starts come on
-# top (see the module docstring).
+# _Scratch's window copies, four or a swap's two, at most 512 KiB on one
+# worker and 1 MiB on each of several, and the baseline's index arrays. A
+# double-precision h on 18 qubits, run by both kernels in turn from a fresh
+# scratch, peaks at 685 KiB on one worker and 2,503-2,647 KiB for two
+# (tracemalloc). Tables of starts come on top (see the module docstring).
 _WORKER_BYTES = 1 << 20  # one worker
 _WIDE_WORKER_BYTES = 2 << 20  # each of several workers
 
@@ -219,49 +219,53 @@ def _update_pairs(xs: np.ndarray, ys: np.ndarray, key, mat: tuple | None):
     """Apply [[a, b], [c, d]] to every pair (xs[key], ys[key]) (see the module
     docstring), or swap each where ``mat`` is None, an X (``_matrix_scalars``).
 
-    Both halves and both products go on the thread's scratch (``_Scratch``),
-    so both kernels run the same element operations on contiguous arrays: a
-    basic key's view, such as a window start's, is copied onto it, and an
-    index array, the baseline's key, gathers onto it by ``take`` ("wrap"
-    checks no bounds; the write-back with the same key raises IndexError
-    before it writes). X is a pure swap: it equals ``0*x + 1*y`` bit for bit
+    Both halves and both products, or a swap's two halves, go on the thread's
+    scratch (``_Scratch``), so both kernels run the same element operations
+    on contiguous arrays: a basic key's view, such as a window start's, is
+    copied onto it, and an index array, the baseline's key, gathers onto it
+    by ``take`` ("wrap" checks no bounds; the write-back with the same key
+    raises IndexError before it writes). X is a pure swap: it equals ``0*x + 1*y`` bit for bit
     but for the sign of a zero component, which the product can flip; it,
     too, writes back from the copies, as numpy copies strided to strided
     several times slower."""
+    copies = 2 if mat is None else 4
     if isinstance(key, (int, slice)):
         vx, vy = xs[key], ys[key]
-        x, y, p, q = _scratch(vx.shape, vx.dtype)
+        x, y, *pq = _scratch(vx.shape, vx.dtype, copies)
         x[...], y[...] = vx, vy
     else:
-        x, y, p, q = _scratch(np.shape(key), xs.dtype)
+        x, y, *pq = _scratch(np.shape(key), xs.dtype, copies)
         xs.take(key, 0, x, "wrap")
         ys.take(key, 0, y, "wrap")
     if mat is None:
         xs[key] = y
         ys[key] = x
         return
+    p, q = pq
     a, b, c, d = mat
     xs[key] = np.add(np.multiply(a, x, p), np.multiply(b, y, q), p)
     ys[key] = np.add(np.multiply(c, x, p), np.multiply(d, y, q), p)
 
 
 class _Scratch(threading.local):
-    """A thread's buffer, and its views by shape and dtype, for the copies
-    and products of either kernel's windows: grown to the largest window
-    asked for and kept, so that a window allocates no copies (``_BLOCK``)."""
+    """A thread's buffer, and its views by shape, dtype and count, for the
+    copies and products of either kernel's windows: grown to the largest
+    window asked for, in the copies it uses (two for a swap, else four), and
+    kept, so that a window allocates no copies (``_BLOCK``)."""
 
     def __init__(self):
         self.buf, self.views = np.empty(0, np.uint8), {}
 
-    def __call__(self, shape: tuple, dtype: np.dtype) -> tuple[np.ndarray, ...]:
-        """Four C-contiguous arrays of ``shape`` and ``dtype`` on the buffer."""
-        views = self.views.get((shape, dtype))
+    def __call__(self, shape: tuple, dtype: np.dtype, copies: int) -> tuple[np.ndarray, ...]:
+        """``copies`` C-contiguous arrays of ``shape`` and ``dtype`` on the buffer."""
+        views = self.views.get((shape, dtype, copies))
         if views is None:
-            nbytes = 4 * dtype.itemsize * int(np.prod(shape))
+            nbytes = copies * dtype.itemsize * int(np.prod(shape))
             if self.buf.size < nbytes or len(self.views) >= 256:
                 self.buf = np.empty(max(self.buf.size, nbytes), np.uint8)
                 self.views = {}
-            views = self.views[shape, dtype] = tuple(np.ndarray((4, *shape), dtype, self.buf))
+            views = tuple(np.ndarray((copies, *shape), dtype, self.buf))
+            self.views[shape, dtype, copies] = views
         return views
 
 

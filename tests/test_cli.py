@@ -196,24 +196,27 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", "qft:20", "--threads", "1")
         assert code == EXIT_CAPACITY
         assert out == ""
-        # 16 MiB of state, 6 MiB for the output chunk, 1 MiB for one worker
-        needed = (16 << 20) + (6 << 20) + (1 << 20)
+        # 16 MiB of state and its 4 KiB page of slack, 6 MiB for the
+        # output chunk, 1 MiB for one worker
+        state = (16 << 20) + 4096
+        needed = state + (6 << 20) + (1 << 20)
         assert err == (
-            f"capacity error: run needs {needed} bytes ({16 << 20} of state), "
+            f"capacity error: run needs {needed} bytes ({state} of state), "
             "123456 bytes are available\n"
         )
 
     @pytest.mark.parametrize(
         "n, precision, top_k, threads, needed",
         [
-            (10, "double", 8, 1, (16 << 10) + (6 << 20) + (1 << 20)),
+            # the state, and the 4 KiB page new_state allocates beyond it
+            (10, "double", 8, 1, (16 << 10) + 4096 + (6 << 20) + (1 << 20)),
             # several workers take 2 MiB each, for their wider windows
-            (10, "single", 8, 3, (8 << 10) + (6 << 20) + (6 << 20)),
+            (10, "single", 8, 3, (8 << 10) + 4096 + (6 << 20) + (6 << 20)),
             # k is capped at the register; a larger k widens the chunk
-            (10, "double", 70000, 1, (16 << 10) + (6 << 20) + (1 << 20)),
-            (17, "double", 70000, 1, (16 << 17) + 70000 * 96 + (1 << 20)),
+            (10, "double", 70000, 1, (16 << 10) + 4096 + (6 << 20) + (1 << 20)),
+            (17, "double", 70000, 1, (16 << 17) + 4096 + 70000 * 96 + (1 << 20)),
             # never more workers than CPUs
-            (17, "single", 0, 8, (8 << 17) + (6 << 20) + (8 << 20)),
+            (17, "single", 0, 8, (8 << 17) + 4096 + (6 << 20) + (8 << 20)),
         ],
     )
     def test_memory_check_counts_state_chunk_and_workers(
@@ -536,10 +539,10 @@ class TestBench:
         assert err.startswith("capacity error: bench needs ")
 
     def test_memory_check_leaves_out_the_output_chunk(self, capsys, monkeypatch):
-        # bench prints no amplitudes: the state and one worker's 1 MiB only,
-        # without run's 6 MiB output chunk
+        # bench prints no amplitudes: the state with its 4 KiB page and one
+        # worker's 1 MiB only, without run's 6 MiB output chunk
         monkeypatch.setattr(svsched.sched, "usable_cpus", lambda: 4)
-        needed = (16 << 10) + (1 << 20)
+        needed = (16 << 10) + 4096 + (1 << 20)
         monkeypatch.setattr(svsched.cli, "_mem_available", lambda: needed)
         svsched.cli._check_memory(10, "double", None, 1)
         code, _, _ = run_cli(capsys, "bench", "qft:10", "--threads", "1", "--reps", "1")

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,8 +22,9 @@ from svsched import (
     new_state,
     norm_sq,
 )
+from svsched.core import PAGE_BYTES
 from svsched.sched import _matrix_scalars, _update_pairs
-from conftest import basis_state
+from conftest import basis_state, placed
 
 
 def update_one_pair(state, p1, p2, matrix, view=False):
@@ -84,6 +87,75 @@ class TestNewState:
         for amps in (np.array(1 + 0j), np.complex64(1)):
             with pytest.raises(ValueError):
                 StateVector(0, amps)
+
+
+def root(array):
+    """The array that owns ``array``'s memory, at the end of its bases."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+class TestPlacement:
+    """Every state the simulator allocates starts on a page, so on a 64-byte
+    line; one it is handed whole stays where it is."""
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("n", [1, 3, 12, 17])
+    def test_new_state_starts_on_a_page(self, n, precision):
+        amps = new_state(n, precision).amplitudes
+        assert amps.ctypes.data % PAGE_BYTES == 0
+        assert amps.shape == (1 << n,) and amps.flags.c_contiguous and amps.flags.writeable
+        assert amps[0] == 1 and not amps[1:].any()
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_copies_start_on_a_page(self, rng, dtype):
+        n = 12
+        buf = (rng.normal(size=2 << n) + 1j * rng.normal(size=2 << n)).astype(dtype)
+        given = placed(buf[: 1 << n], 16)
+        copies = [StateVector(n, given).copy(), StateVector(n, buf[::2])]
+        for state, want in zip(copies, (given, buf[::2])):
+            amps = state.amplitudes
+            assert amps.ctypes.data % PAGE_BYTES == 0
+            assert amps.flags.c_contiguous and amps.flags.writeable
+            assert not np.shares_memory(amps, buf) and not np.shares_memory(amps, given)
+            assert amps.dtype == dtype and amps.tobytes() == want.tobytes()
+
+    def test_real_input_is_copied_onto_a_page(self):
+        amps = StateVector(2, np.array([0.5, 0.5, 0.5, -0.5])).amplitudes
+        assert amps.ctypes.data % PAGE_BYTES == 0 and amps.flags.c_contiguous
+        assert amps.dtype == np.complex128 and amps.tolist() == [0.5, 0.5, 0.5, -0.5]
+
+    @pytest.mark.parametrize("make", ["new_state", "copy", "strided"])
+    def test_the_buffer_lives_as_long_as_the_array(self, make):
+        n = 12
+        state = new_state(n)
+        if make == "copy":
+            state = state.copy()
+        elif make == "strided":
+            state = StateVector(n, np.zeros(2 << n, np.complex128)[::2])
+        amps = state.amplitudes
+        owner = weakref.ref(root(amps))
+        del state
+        gc.collect()
+        churn = [np.ones(1 << k) for k in range(8, 18)]  # reuses what was freed
+        amps[...] = np.arange(1 << n)
+        assert owner() is not None
+        assert amps.tolist() == list(range(1 << n))
+        del amps, churn
+        gc.collect()
+        assert owner() is None
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("offset", [0, 16, 48])
+    def test_a_whole_input_is_kept_where_it_is(self, dtype, offset):
+        given = placed(np.zeros(1 << 10, dtype), offset)
+        given[0] = 1
+        state = StateVector(10, given)
+        assert state.amplitudes is given and np.shares_memory(state.amplitudes, given)
+        assert state.amplitudes.ctypes.data % PAGE_BYTES == offset
+        apply_gate(state, GateOp(gate_x(), 3), Strategy.OPTIMIZED)
+        assert given[8] == 1
 
 
 class TestNormSq:

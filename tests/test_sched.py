@@ -41,7 +41,7 @@ from svsched import sched
 from svsched.oracle import dense_apply, gate_to_dense
 from svsched.sched import _BLOCK, _MIN_CHUNK, _worker_count
 from svsched.verify import all_geometries, random_gate_matrix, random_state, verify_plans
-from conftest import basis_state
+from conftest import basis_state, placed
 
 
 def brute_force_pairs(n, t):
@@ -491,8 +491,9 @@ class TestBlocks:
         finally:
             sched._pool.cache_clear()
         assert sizes == [1]
-        # 16 MiB of state, a 6 MiB output chunk and one worker's 1 MiB
-        needed = (16 << 20) + (6 << 20) + (1 << 20)
+        # 16 MiB of state and its 4 KiB page, a 6 MiB output chunk and one
+        # worker's 1 MiB
+        needed = (16 << 20) + 4096 + (6 << 20) + (1 << 20)
         monkeypatch.setattr(svsched.cli, "_mem_available", lambda: needed)
         svsched.cli._check_memory(20, "double", 0, 8)
         monkeypatch.setattr(svsched.cli, "_mem_available", lambda: needed - 1)
@@ -1073,6 +1074,30 @@ class TestWarmGates:
                     tracemalloc.stop()
                 assert peak < bound, (matrix, controls)
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_a_swap_keeps_two_copies_and_h_four(self, monkeypatch, strategy):
+        # warm swap-only windows, of x, cx and ccx in turn, hold their two
+        # halves on a fresh scratch; an h then grows it to four copies, its
+        # halves and products. 8 KiB more covers the buffer's views
+        state = new_state(19)
+        pairs = 2 * _BLOCK * state.amplitudes.itemsize  # one copy of a window
+        swaps = [GateOp(gate_x(), 9, controls) for controls in ((), (0,), (0, 12))]
+        h = GateOp(gate_h(), 9)
+        for gate in (*swaps, h):
+            apply_gate(state, gate, strategy)
+        monkeypatch.setattr(sched, "_scratch", sched._Scratch())
+        tracemalloc.start()
+        try:
+            for gate in swaps:
+                apply_gate(state, gate, strategy)
+            two = tracemalloc.get_traced_memory()[0]
+            apply_gate(state, h, strategy)
+            four = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 2 * pairs <= two < 2 * pairs + (8 << 10)
+        assert 4 * pairs <= four < 4 * pairs + (8 << 10)
+
     def test_high_targets_share_one_template(self):
         clear_caches()
         for t in (12, 14, 16):
@@ -1440,6 +1465,42 @@ class TestTiledRuns:
         assert buf[1::2].tobytes() == gap.tobytes()
 
 
+class TestPlacement:
+    """Where a state starts does not change what a gate writes or how many
+    iterations it runs: a state handed in whole is kept where it is, here
+    at every whole amplitude past a 64-byte line."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_every_offset_in_a_line_gives_the_bytes_on_a_page(
+        self, monkeypatch, precision, strategy, threads
+    ):
+        # tiles of 2**12 amplitudes on 16 qubits, and chunks of 2**10
+        # iterations, so two workers split both tiled runs and whole gates
+        n, bits = 16, 12
+        state = new_state(n, precision)
+        dtype = state.amplitudes.dtype
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(sched, "_MIN_CHUNK", 1 << 10)
+        monkeypatch.setattr(sched, "_TILE_BYTES", dtype.itemsize << bits)
+        rng = np.random.default_rng(27)
+        gates = [random_gate(rng, bits if k % 3 else n) for k in range(12)]
+        groups = sched._tile_groups(gates, strategy, bits)
+        assert any(len(g) > 1 for g in groups) and any(len(g) == 1 for g in groups)
+        psi0 = random_state(rng, n).amplitudes.astype(dtype)
+        state.amplitudes[...] = psi0
+        circuit = Circuit(n, gates)
+        want = apply_circuit(state, circuit, strategy, threads=threads)
+        offsets = range(0, 64, dtype.itemsize)
+        assert len(offsets) == {"double": 4, "single": 8}[precision]
+        for offset in offsets:
+            got = StateVector(n, placed(psi0, offset))
+            assert got.amplitudes.ctypes.data % 64 == offset
+            assert apply_circuit(got, circuit, strategy, threads=threads) == want
+            assert got.amplitudes.tobytes() == state.amplitudes.tobytes(), offset
+
+
 def one_worker_window(strategy, controls) -> int:
     """The window of a gate on one worker, with the real constants, for
     controls that halve every window of 4 * _BLOCK iterations, or none."""
@@ -1541,8 +1602,8 @@ class TestWorkerWindows:
         owners, kept, lock, two = {}, [], threading.Lock(), threading.Event()
         call = sched._Scratch.__call__
 
-        def spy(self, shape, dtype):
-            views = call(self, shape, dtype)
+        def spy(self, shape, dtype, copies):
+            views = call(self, shape, dtype, copies)
             with lock:
                 kept.append(self.buf)  # so no buffer's id is reused
                 owners.setdefault(id(self.buf), set()).add(threading.get_ident())
