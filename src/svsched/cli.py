@@ -221,16 +221,17 @@ def cmd_run(args) -> int:
             f"state dump capped at {DUMP_MAX_QUBITS} qubits, circuit has "
             f"{circuit.num_qubits}"
         )
-    strategy = Strategy(args.scheduler)
-    _check_memory(circuit.num_qubits, args.precision, args.top_k, args.threads)
-    state = new_state(circuit.num_qubits, args.precision)
-
     if args.input is not None:
         if not args.source.startswith("sq:"):
             raise UsageError(f"--input needs a squaring circuit, sq:<k>, not {args.source!r}")
         k = (circuit.num_qubits - 2) // 3
         if not 0 <= args.input < (1 << k):
             raise UsageError(f"--input {args.input} does not fit a {k}-bit input register")
+    strategy = Strategy(args.scheduler)
+    _check_memory(circuit.num_qubits, args.precision, args.top_k, args.threads)
+    state = new_state(circuit.num_qubits, args.precision)
+
+    if args.input is not None:
         # The basis state of the requested value; not counted as circuit work.
         state.amplitudes[0] = 0
         state.amplitudes[args.input] = 1

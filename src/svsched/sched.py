@@ -56,7 +56,15 @@ iterations per tile (``_tile_groups``). Such a run is applied tile by tile,
 so the state is swept once per run instead of once per gate. Each gate's
 pairs lie within one tile, so every amplitude gets the same pair updates in
 the same order and the result is bit-identical to gate-by-gate application.
-Other gates run whole. Work on several workers runs on one pool per process
+Other gates run whole.
+
+Both schedulers run a gate, or a tiled run, on the same workers: their
+number follows the pairs the gates update, ``2**(n - n_c - 1)`` a gate
+under either scheduler, as threads share the bytes a pair update moves and
+not the baseline's index work (``_worker_count``). Worker ``j`` of ``W``
+takes the units ``j``, ``j + W``, ``j + 2W``, ..., so a high control that
+masks out a run of the baseline's windows masks out some of every worker's
+(``_split``). Work on several workers runs on one pool per process
 (``_pool``).
 """
 
@@ -71,9 +79,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Circuit, GateMatrix, GateOp, StateVector
+from .core import Circuit, GateMatrix, GateOp, StateVector, _zeros
 
-# Below this many iterations a gate is not worth splitting across threads.
+# Below this many pair updates work is not worth splitting across threads.
 _MIN_CHUNK = 1 << 15
 
 # Iterations per block: a baseline row (see _template), and half a window
@@ -251,7 +259,8 @@ class _Scratch(threading.local):
     """A thread's buffer, and its views by shape, dtype and count, for the
     copies and products of either kernel's windows: grown to the largest
     window asked for, in the copies it uses (two for a swap, else four), and
-    kept, so that a window allocates no copies (``_BLOCK``)."""
+    kept, so that a window allocates no copies (``_BLOCK``). The buffer
+    starts on a page (``core._zeros``), as every state does."""
 
     def __init__(self):
         self.buf, self.views = np.empty(0, np.uint8), {}
@@ -262,7 +271,7 @@ class _Scratch(threading.local):
         if views is None:
             nbytes = copies * dtype.itemsize * int(np.prod(shape))
             if self.buf.size < nbytes or len(self.views) >= 256:
-                self.buf = np.empty(max(self.buf.size, nbytes), np.uint8)
+                self.buf = _zeros(max(self.buf.size, nbytes), np.uint8)
                 self.views = {}
             views = tuple(np.ndarray((copies, *shape), dtype, self.buf))
             self.views[shape, dtype, copies] = views
@@ -346,12 +355,13 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(count: int, threads: int) -> int:
-    """Threads work of ``count`` iterations runs on: at most ``threads``
-    and the usable CPUs, and one per ``_MIN_CHUNK`` iterations."""
-    if threads <= 1 or count < 2 * _MIN_CHUNK:
+def _worker_count(pairs: int, threads: int) -> int:
+    """Threads work of ``pairs`` pair updates runs on, under either
+    scheduler: at most ``threads`` and the usable CPUs, and one per
+    ``_MIN_CHUNK`` pairs, so below ``2 * _MIN_CHUNK`` (2**16) pairs one."""
+    if threads <= 1 or pairs < 2 * _MIN_CHUNK:
         return 1
-    return min(threads, usable_cpus(), count // _MIN_CHUNK)
+    return min(threads, usable_cpus(), pairs // _MIN_CHUNK)
 
 
 def _window(workers: int, strategy: Strategy, gate: GateOp) -> int:
@@ -388,18 +398,17 @@ def _pool() -> ThreadPoolExecutor:
 os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _split(units: int, workers: int, walk: Callable[[int, int], int]) -> int:
-    """Run ``walk(lo, hi)`` over the units ``[0, units)``, the tiles of a run
-    or a threaded lone gate's windows, and return the sum of what it returns.
+def _split(units: int, workers: int, walk: Callable[[range], int]) -> int:
+    """Run ``walk`` over the units ``range(units)``, the tiles of a run or a
+    threaded lone gate's windows, and return the sum of what it returns.
 
-    One worker walks every unit on the calling thread. Several get one
-    contiguous range of whole units each, run on ``_pool()``; the call
-    returns once every range has run.
+    One worker walks every unit on the calling thread. Of ``W`` workers,
+    no more than the units, worker ``j`` walks the units ``range(j, units,
+    W)`` on ``_pool()``; the call returns once every worker's units have run.
     """
     if workers == 1:
-        return walk(0, units)
-    bounds = [units * k // workers for k in range(workers + 1)]
-    futures = [_pool().submit(walk, bounds[k], bounds[k + 1]) for k in range(workers)]
+        return walk(range(units))
+    futures = [_pool().submit(walk, range(j, units, workers)) for j in range(workers)]
     wait(futures)
     return sum(f.result() for f in futures)
 
@@ -500,34 +509,37 @@ def _apply_run(
     iterations executed, summed over the windows that ran. A gate run whole
     is a run of one gate at ``bits`` equal to the register size: one tile.
 
-    Every qubit of the gates is below ``bits``. Each gate is resolved once
-    over the whole state (``_resolve``), in windows sized by the workers the
-    run's iterations call for and by the gate (``_window``), ``k`` windows
-    per tile. Tile ``c`` is a gate's windows ``c*k`` to ``(c+1)*k - 1``: the
-    reduced index's bits from the tile's iterations up map to the qubits at
-    and above ``bits``. The workers split the run's units (``_split``), its
-    tiles, so each tile's gates run in order on one thread, as a worker that
-    waited on work it submitted to its own pool could wait forever. A lone
-    gate on several workers has its windows as units, as they write
-    disjoint pairs.
+    Every qubit of the gates is below ``bits``. The run's workers follow
+    the pairs its gates update over all tiles, the optimized kernel's
+    iterations under either scheduler (``_worker_count``). Each gate is
+    resolved once over the whole state (``_resolve``), in windows sized by
+    those workers and by the gate (``_window``), ``k`` windows per tile of
+    the scheduler's own iterations. Tile ``c`` is a gate's windows ``c*k``
+    to ``(c+1)*k - 1``: the reduced index's bits from the tile's iterations
+    up map to the qubits at and above ``bits``. The workers take interleaved
+    units of the run (``_split``), its tiles, so each tile's gates run in
+    order on one thread, as a worker that waited on work it submitted to its
+    own pool could wait forever. A lone gate on several workers has its
+    windows as units, as they write disjoint pairs.
     """
     amps = state.amplitudes
     units = amps.shape[0] >> bits
-    counts = [iteration_count(strategy, bits, gate) for gate in gates]
-    workers = _worker_count(sum(counts) * units, threads)
+    pairs = sum(iteration_count(Strategy.OPTIMIZED, bits, gate) for gate in gates)
+    workers = _worker_count(pairs * units, threads)
     if len(gates) > 1:
         workers = min(workers, units)
     runs = []
-    for gate, count in zip(gates, counts):
+    for gate in gates:
+        count = iteration_count(strategy, bits, gate)
         window = min(count, _window(workers, strategy, gate))
         runs.append((count // window, _resolve(amps, gate, strategy, window), window))
     if workers > units:  # a lone gate's windows, split over the workers
         (k, step, window), = runs
         units, runs = units * k, [(1, step, window)]
 
-    def walk(lo: int, hi: int) -> int:
+    def walk(tiles: range) -> int:
         executed = 0
-        for tile in range(lo, hi):
+        for tile in tiles:
             for k, step, window in runs:
                 for w in range(tile * k, (tile + 1) * k):
                     step(w)

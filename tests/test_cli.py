@@ -140,6 +140,25 @@ class TestRun:
         assert out == ""
         assert err == f"error: --input needs a squaring circuit, sq:<k>, not {source!r}\n"
 
+    @pytest.mark.parametrize(
+        "source, value, message",
+        [
+            ("qft:29", "1", "--input needs a squaring circuit, sq:<k>, not 'qft:29'"),
+            ("sq:9", "999999", "--input 999999 does not fit a 9-bit input register"),
+        ],
+    )
+    def test_input_is_refused_before_the_memory_check_and_the_state(
+        self, capsys, monkeypatch, source, value, message
+    ):
+        # too little memory for the 29-qubit state, and no state to allocate
+        def no_state(num_qubits, precision="double"):
+            raise AssertionError("new_state called")
+
+        monkeypatch.setattr(svsched.cli, "new_state", no_state)
+        monkeypatch.setattr(svsched.cli, "_mem_available", lambda: 123456)
+        code, out, err = run_cli(capsys, "run", source, "--input", value)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
     def test_capacity_error_names_limit(self, capsys):
         code, _, err = run_cli(capsys, "run", "qft:31")
         assert code == EXIT_CAPACITY

@@ -3,7 +3,7 @@ import signal
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -38,6 +38,7 @@ from svsched import (
 )
 import svsched.cli
 from svsched import sched
+from svsched.core import PAGE_BYTES
 from svsched.oracle import dense_apply, gate_to_dense
 from svsched.sched import _BLOCK, _MIN_CHUNK, _worker_count
 from svsched.verify import all_geometries, random_gate_matrix, random_state, verify_plans
@@ -539,10 +540,10 @@ class TestBlocks:
     def test_circuit_threads_are_bit_identical(
         self, rng, monkeypatch, circuit, dtype, threads
     ):
-        # enough CPUs that 3 workers split the 8 windows of 2**17 iterations,
-        # each of 4 * _BLOCK, into ranges of different sizes
+        # enough CPUs that 3 workers take shares of different sizes, 2, 1
+        # and 1 tiles, of stream:18's run of 4 tiles of 2**16 amplitudes
         monkeypatch.setattr(sched, "usable_cpus", lambda: 4)
-        assert (1 << 17) // (4 * _BLOCK) % 3
+        assert (1 << (18 - 16)) % 3
         n = circuit.num_qubits
         state = StateVector(n, random_state(rng, n).amplitudes.astype(dtype))
         ref = state.copy()
@@ -764,9 +765,10 @@ class TestExecutedIndices:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_threaded_workers_run_whole_windows(self, monkeypatch, strategy):
-        # 3 workers split the 8 (baseline) or 2 (optimized) windows of the
-        # gate, each of 4 * _BLOCK iterations, as work on several workers;
-        # 3 divides neither count, so the ranges differ in size
+        # 3 workers, as the gate's 2**16 pairs call for under either
+        # scheduler, take interleaved shares of its 16 (baseline) or 4
+        # (optimized) windows, each of 4 * _BLOCK iterations, as work on
+        # several workers; 3 divides neither count, so the shares differ
         monkeypatch.setattr(sched, "usable_cpus", lambda: 4)
         monkeypatch.setattr(sched, "_MIN_CHUNK", _BLOCK)
         rec = PairRecorder(monkeypatch)
@@ -775,21 +777,21 @@ class TestExecutedIndices:
 
         class Pool(ThreadPoolExecutor):
             def submit(self, fn, *args):
-                submitted.append(args)  # a worker's range of windows
+                submitted.append(args)  # a worker's share of windows
                 return super().submit(fn, *args)
 
-        n, t, controls = 18, 9, (2, 14)
+        n, t, controls = 19, 9, (2, 14)
         gate = GateOp(gate_h(), t, controls)
         count = iteration_count(strategy, n, gate)
         windows = count // (4 * _BLOCK)
-        assert _worker_count(count, 3) == 3 and windows % 3
+        pairs = iteration_count(Strategy.OPTIMIZED, n, gate)
+        assert _worker_count(pairs, 3) == 3 and windows % 3
         state = new_state(n)
         rec.amps = state.amplitudes
         with Pool(max_workers=3) as pool:
             monkeypatch.setattr(sched, "_pool", lambda: pool)
             assert apply_gate(state, gate, strategy, threads=3) == count
-        bounds = [windows * k // 3 for k in range(4)]
-        assert submitted == list(zip(bounds, bounds[1:]))
+        assert submitted == [(range(j, windows, 3),) for j in range(3)]
         assert sorted(w for _, _, _, _, w in steps.steps) == list(range(windows))
         got = np.sort(rec.first_indices(1 << t))
         assert np.array_equal(got, expected_pair_indices(strategy, n, t, controls))
@@ -1098,6 +1100,19 @@ class TestWarmGates:
         assert 2 * pairs <= two < 2 * pairs + (8 << 10)
         assert 4 * pairs <= four < 4 * pairs + (8 << 10)
 
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_the_scratch_starts_on_a_page(self, monkeypatch, strategy, precision):
+        # an x's two copies of a window, then an h's four, each grow a
+        # fresh scratch's buffer, which starts on a page as the state does
+        state = new_state(19, precision)
+        monkeypatch.setattr(sched, "_scratch", sched._Scratch())
+        for gate in (GateOp(gate_x(), 9), GateOp(gate_h(), 9)):
+            size = sched._scratch.buf.size
+            apply_gate(state, gate, strategy)
+            assert sched._scratch.buf.size > size
+            assert sched._scratch.buf.ctypes.data % PAGE_BYTES == 0, gate
+
     def test_high_targets_share_one_template(self):
         clear_caches()
         for t in (12, 14, 16):
@@ -1390,8 +1405,9 @@ class TestTiledRuns:
             **{(id(g), n): 1 for g in untiled},
         }
 
-    def test_workers_take_contiguous_ranges_of_whole_tiles(self, rng, monkeypatch):
-        # 32 tiles of 16 amplitudes on 3 workers: ranges of 10, 11 and 11
+    def test_workers_take_interleaved_whole_tiles(self, rng, monkeypatch):
+        # 32 tiles of 16 amplitudes on 3 workers: worker j takes every third
+        # tile from tile j, 11, 11 and 10 tiles
         n, bits = 9, 4
         gates = [GateOp(gate_h(), 0), GateOp(gate_x(), 3, (1,)), GateOp(gate_h(), 2)]
         circuit = Circuit(n, gates)
@@ -1413,7 +1429,7 @@ class TestTiledRuns:
             monkeypatch.setattr(sched, "_pool", lambda: pool)
             executed = apply_circuit(got, circuit, threads=3)
         assert executed == sum(iteration_count(Strategy.OPTIMIZED, n, g) for g in circuit.gates)
-        assert submitted == [(0, 10), (10, 21), (21, 32)]
+        assert submitted == [(range(0, 32, 3),), (range(1, 32, 3),), (range(2, 32, 3),)]
         totals = rec.totals()
         assert len(totals) == 3 * 32 and {size for size, _, _ in totals} == {bits}
         assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
@@ -1519,22 +1535,25 @@ class TestWorkerWindows:
     def test_plans_get_the_window_of_the_workers(self, monkeypatch, strategy):
         monkeypatch.setattr(sched, "usable_cpus", lambda: 2)
         windows = StepRecorder(monkeypatch).resolved
-        # one untiled gate of 2**17 iterations, then stream:18, whose gate k
-        # has controls 0..k-1 and whose gates 0-6 (optimized) or 0-15
-        # (baseline) form a run on 16-qubit tiles
+        # one untiled gate of 2**17 pairs, then stream:18, whose gate k has
+        # controls 0..k-1 and whose gates 0-6 (optimized) or 0-15 (baseline)
+        # form a run on 16-qubit tiles
         joined = 7 if strategy is Strategy.OPTIMIZED else 16
+        circuit = gen_streaming(18)
         for threads in (1, 2):
             widest = 4 * _BLOCK if threads > 1 else one_worker_window(strategy, ())
             windows.clear()
             apply_gate(new_state(18), GateOp(gate_h(), 9), strategy, threads=threads)
             assert windows == [(18, 1 << 17, widest)]
             windows.clear()
-            apply_circuit(new_state(18), gen_streaming(18), strategy, threads=threads)
+            apply_circuit(new_state(18), circuit, strategy, threads=threads)
             assert [n for n, _, _ in windows].count(16) == joined
-            for k, (n, count, window) in enumerate(windows):
-                # an untiled gate of fewer than 2 * _MIN_CHUNK iterations
-                # runs on one worker
-                several = threads > 1 and (n == 16 or count >= 2 * _MIN_CHUNK)
+            for k, ((n, count, window), gate) in enumerate(zip(windows, circuit.gates)):
+                # the run's 4 tiles of 2**16 amplitudes run on several
+                # workers, and an untiled gate of fewer than 2 * _MIN_CHUNK
+                # pairs, under either scheduler, on one
+                pairs = iteration_count(Strategy.OPTIMIZED, n, gate)
+                several = threads > 1 and (n == 16 or pairs >= 2 * _MIN_CHUNK)
                 widest = 4 * _BLOCK if several else one_worker_window(strategy, range(k))
                 assert window == min(count, widest), k
 
@@ -1638,3 +1657,92 @@ class TestWorkerWindows:
             two, circuit, strategy, threads=2
         )
         assert one.amplitudes.tobytes() == two.amplitudes.tobytes()
+
+
+class InlinePool:
+    """Stands in for ``sched._pool()``: runs each submission at once on the
+    calling thread, and records its arguments."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestWorkerRule:
+    """The workers of a gate, or of a tiled run, follow the pairs it updates
+    under either scheduler, and worker j of W takes the units j, j+W, ...;
+    with the real constants, usable_cpus patched and no thread started."""
+
+    @pytest.mark.parametrize(
+        "circuit", [gen_qft(16), gen_streaming(18), gen_squaring(3)], ids=["qft16", "stream18", "sq3"]
+    )
+    def test_both_schedulers_run_on_the_same_workers(self, monkeypatch, circuit):
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 4)
+        pool = InlinePool()
+        monkeypatch.setattr(sched, "_pool", lambda: pool)
+        split, splits = sched._split, []
+
+        def spy(units, workers, walk):
+            splits.append((units, workers))
+            return split(units, workers, walk)
+
+        monkeypatch.setattr(sched, "_split", spy)
+        n = circuit.num_qubits
+        bits = min(n, (sched._TILE_BYTES // 16).bit_length() - 1)
+        # every gate run whole, and every tiled run either scheduler forms
+        runs = [([gate], n) for gate in circuit.gates] + [
+            (group, bits)
+            for strategy in Strategy
+            for group in sched._tile_groups(circuit.gates, strategy, bits)
+            if len(group) > 1
+        ]
+        state, seen = new_state(n), {}
+        for strategy in Strategy:
+            splits.clear()
+            pool.submitted.clear()
+            for gates, b in runs:
+                for threads in range(1, 5):
+                    sched._apply_run(state, gates, strategy, threads, b)
+            seen[strategy] = list(splits), list(pool.submitted)
+        (base, _), (opt, _) = seen.values()
+        assert [w for _, w in base] == [w for _, w in opt]
+        # a lone gate of fewer than 2 * _MIN_CHUNK pairs, at any thread count
+        small = [
+            len(gates) == 1 and iteration_count(Strategy.OPTIMIZED, b, gates[0]) < 2 * _MIN_CHUNK
+            for gates, b in runs for _ in range(4)
+        ]
+        assert len(small) == len(base) and [w for (_, w), s in zip(base, small) if s] == [1] * sum(small)
+        # worker j of W takes every W-th unit from unit j, and each takes one
+        for strategy, (done, submitted) in seen.items():
+            assert all(w <= units for units, w in done), strategy
+            assert submitted == [
+                (range(j, units, w),) for units, w in done if w > 1 for j in range(w)
+            ], strategy
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_every_worker_gets_units(self, monkeypatch, strategy):
+        # 4 threads on 4 CPUs. A run of 2 tiles of 2**16 amplitudes runs on
+        # 2 workers, one tile each. An h of 2**16 pairs, controlled by the
+        # top qubit, runs on 2 workers: its 4 (optimized) or 8 (baseline)
+        # windows of 4 * _BLOCK iterations, where the baseline's first 4
+        # fail the control, go to each worker in turn.
+        monkeypatch.setattr(sched, "usable_cpus", lambda: 4)
+        pool = InlinePool()
+        monkeypatch.setattr(sched, "_pool", lambda: pool)
+        run = Circuit(17, [GateOp(gate_h(), 0), GateOp(gate_x(), 3, (1,))])
+        assert len(sched._tile_groups(run.gates, strategy, 16)) == 1
+        executed = apply_circuit(new_state(17), run, strategy, threads=4)
+        assert executed == sum(iteration_count(strategy, 17, g) for g in run.gates)
+        assert pool.submitted == [(range(0, 2, 2),), (range(1, 2, 2),)]
+        pool.submitted.clear()
+        gate = GateOp(gate_h(), 5, (17,))
+        count = iteration_count(strategy, 18, gate)
+        windows = count // (4 * _BLOCK)
+        assert apply_gate(new_state(18), gate, strategy, threads=4) == count
+        assert pool.submitted == [(range(0, windows, 2),), (range(1, windows, 2),)]
+        assert all(len(share) for share, in pool.submitted)
