@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import DEFAULT_POWER_MODELS, emit_report, parse_power_config, run_bench
 from .circuits import (
     CircuitParseError,
     gen_qft,
@@ -37,7 +36,6 @@ from .core import (
     norm_sq,
 )
 from .sched import Strategy, apply_circuit, usable_cpus, window_bytes
-from .verify import verify_equivalence, verify_mappings, verify_plans
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -269,6 +267,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import verify_equivalence, verify_mappings, verify_plans
+
     if not 2 <= args.n_max <= 8:
         raise UsageError("--n-max must be in [2, 8]")
     if args.cases < 0:
@@ -301,6 +301,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import DEFAULT_POWER_MODELS, emit_report, parse_power_config, run_bench
+
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
     if args.per_gate_timing and args.format != "json":

@@ -73,13 +73,15 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .core import Circuit, GateMatrix, GateOp, StateVector, _zeros
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 # Below this many pair updates work is not worth splitting across threads.
 _MIN_CHUNK = 1 << 15
@@ -390,7 +392,11 @@ def window_bytes(threads: int) -> int:
 
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
-    """The process's pool for threaded work, made on first use."""
+    """The process's pool for threaded work, made on first use, which is
+    also when ``concurrent.futures`` is imported: one-thread work never
+    loads it."""
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(max_workers=usable_cpus())
 
 
@@ -408,6 +414,8 @@ def _split(units: int, workers: int, walk: Callable[[range], int]) -> int:
     """
     if workers == 1:
         return walk(range(units))
+    from concurrent.futures import wait
+
     futures = [_pool().submit(walk, range(j, units, workers)) for j in range(workers)]
     wait(futures)
     return sum(f.result() for f in futures)

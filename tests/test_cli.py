@@ -576,7 +576,8 @@ class TestBench:
             raise AssertionError("bench work started")
 
         monkeypatch.setattr(svsched.cli, "load_circuit", no_work)
-        monkeypatch.setattr(svsched.cli, "run_bench", no_work)
+        # cmd_bench imports run_bench when it runs
+        monkeypatch.setattr(svsched.bench, "run_bench", no_work)
         code, out, err = run_cli(
             capsys, "bench", "qft:4", "--per-gate-timing", "--format", "csv"
         )

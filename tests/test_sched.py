@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import signal
 import threading
@@ -481,10 +482,11 @@ class TestBlocks:
         monkeypatch.delenv(svsched.cli.THREADS_ENV_VAR, raising=False)
         assert svsched.cli.default_threads() == 1
         assert _worker_count(1 << 29, 8) == 1
-        # the pool's size, recorded instead of starting the pool
+        # the pool's size, recorded instead of starting the pool; _pool
+        # imports the executor when it first builds the pool
         sizes = []
         monkeypatch.setattr(
-            sched, "ThreadPoolExecutor", lambda max_workers: sizes.append(max_workers)
+            concurrent.futures, "ThreadPoolExecutor", lambda max_workers: sizes.append(max_workers)
         )
         sched._pool.cache_clear()
         try:
