@@ -150,7 +150,10 @@ def _check_memory(num_qubits: int, precision: str, top_k: int | None, threads: i
     amplitudes and a page of slack, ``run``'s output chunk and every
     worker's window temporaries fit in MemAvailable; skipped when that
     cannot be read, and for registers above the cap, which new_state rejects.
-    ``top_k`` is None for ``bench``, which prints no amplitudes."""
+    ``top_k`` is None for ``bench``, which prints no amplitudes. No gate
+    holds a table over the register: window starts come from cached plans,
+    1,024 of at most about 24 KiB each at 30 qubits, which the window
+    temporaries' bound (``window_bytes``) leaves out."""
     if num_qubits > MAX_QUBITS:
         return
     state = (np.dtype(PRECISION_DTYPES[precision]).itemsize << num_qubits) + PAGE_BYTES

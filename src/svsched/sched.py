@@ -19,30 +19,33 @@ Both write each surviving amplitude exactly once per gate with one pair
 update (``_update_pairs``), so their results are bit-identical: one key
 selects a window's first elements in an array over the state's low
 ``2**n - 2**t`` amplitudes, and their partners in the same array ``2**t``
-higher. A gate is resolved once (``_resolve``). The optimized kernel's plan
-(``_plan``), cached per geometry, window size, swap and dtype in O(n) ints,
-lists its window starts and lays out those arrays as strided views; a swap's
-view makes each run of contiguous pairs below the gate's qubits one wide
-element, so numpy copies runs. The baseline's key is an index array: rows
-of at most 4,096 iterations, each a template cached per row width and
-target plus the row's start, tested against the control mask. Its
-survivors are selected by the cheaper primitive for the gate's controls,
-fixed when it is resolved: ``take`` of the mask's nonzero indices where a
-control's adjusted bit is 0, so that the mask flips on every iteration,
-else a boolean index; an uncontrolled gate keeps every iteration untested.
-A warm gate builds only its scalars, its two views and list of window
-starts, or its row starts.
+higher. A gate is resolved once (``_resolve``), and both kernels take
+window ``w``'s start from one plan (``_plan``), cached per geometry, window
+size, swap and dtype: ``start(w)``, the sum of two half tables of Python
+ints, each of at most ``2**ceil(h / 2)`` entries for ``2**h`` windows (256
+and 256 for an uncontrolled gate on 30 qubits on one worker). The optimized
+kernel's plan is its gate's, and lays out those arrays as strided views; a
+swap's view makes each run of contiguous pairs below the gate's qubits one
+wide element, so numpy copies runs. The baseline runs the plan of its gate
+without the controls, whose window ``w`` starts at ``ith_cleared(w *
+window, t)``, as the paper's baseline walks every iteration: its key is an
+index array, rows of at most 4,096 iterations, each a template cached per
+row width and target plus the window's start and the row's offset in the
+window, tested against the control mask. Its survivors are selected by the
+cheaper primitive for the gate's controls, fixed when it is resolved:
+``take`` of the mask's nonzero indices where a control's adjusted bit is
+0, so that the mask flips on every iteration, else a boolean index; an
+uncontrolled gate keeps every iteration untested. A warm gate builds only
+its scalars, and its two views or its 1-4 row offsets.
 
 A gate runs in windows sized by the number of workers that run at once,
 by one rule for both kernels (``_window``). Both copy a window's pairs, and
 compute its products, on a kept scratch buffer per thread (``_Scratch``), so
-window temporaries are O(window) per worker whatever the register size.
-Each gate a call resolves holds one table over the whole register, a tiled
-run's gates all at once: the optimized kernel's window starts, 40 bytes a
-window (an int and its list slot; 45 at the traced peak), or the baseline's
-row starts, 8 bytes a row of up to 4,096 iterations (24 at the peak); 2.5
-MiB or 1 MiB for an uncontrolled gate on 30 qubits on one worker. One
-gate's windows write disjoint pairs.
+window temporaries are O(window) per worker whatever the register size. A
+call holds no table over the whole register: its window starts are its
+plan's, and the plan cache holds at most 1,024 plans of at most about 24
+KiB each at 30 qubits (21 KiB held, traced). One gate's windows write
+disjoint pairs.
 
 One executor (``_apply_run``) runs a run of gates over the tiles of the
 state: each gate's qubits are below ``b``, and a tile is ``2**b``
@@ -103,7 +106,8 @@ _WIDE_SHIFT = 2
 # worker and 1 MiB on each of several, and the baseline's index arrays. A
 # double-precision h on 18 qubits, run by both kernels in turn from a fresh
 # scratch, peaks at 685 KiB on one worker and 2,503-2,647 KiB for two
-# (tracemalloc). Tables of starts come on top (see the module docstring).
+# (tracemalloc). No table of starts comes on top: a gate's window starts
+# come from its cached plan (see the module docstring).
 _WORKER_BYTES = 1 << 20  # one worker
 _WIDE_WORKER_BYTES = 2 << 20  # each of several workers
 
@@ -286,28 +290,36 @@ _scratch = _Scratch()
 class _Plan(NamedTuple):
     """A gate's view of a state of its register, in O(n) ints that count
     elements of ``dtype``: the state's, or a swap's run of ``2**run``
-    amplitudes (see ``_plan``). Window ``w`` starts ``base`` plus the
-    ``hops`` of the set bits of ``w``. ``view(amps)`` lays ``shape`` and
-    ``strides`` (in bytes) over the state: a lattice ``lat`` whose ``lat[s]``
-    are the first elements of the pairs of the window at ``s``, in iteration
-    order (for their partners, see the module docstring)."""
+    amplitudes (see ``_plan``). Window ``w`` starts at ``start(w)``, the sum
+    of two half tables: ``lo``, indexed by the low ``h`` bits of ``w``
+    (``len(lo)`` is ``2**h``), and ``hi``, by the rest. They hold Python
+    ints, so a start is a basic key to ``_update_pairs``. ``view(amps)``
+    lays ``shape`` and ``strides`` (in bytes) over the state: a lattice
+    ``lat`` whose ``lat[s]`` are the first elements of the pairs of the
+    window at ``s``, in iteration order (for their partners, see the module
+    docstring)."""
 
-    base: int
-    hops: tuple[int, ...]
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
     shape: tuple[int, ...]
     strides: tuple[int, ...]
     dtype: np.dtype
 
-    def starts(self) -> list[int]:
-        """Every window's start, in window order."""
-        starts = [self.base]
-        for hop in self.hops:
-            starts += [s + hop for s in starts]
-        return starts
+    def start(self, w: int) -> int:
+        """Window ``w``'s first element, for either kernel and ``verify``."""
+        return self.lo[w & (len(self.lo) - 1)] + self.hi[w >> (len(self.lo).bit_length() - 1)]
 
     def view(self, buf) -> np.ndarray:
         """The lattice over ``buf``, a C-contiguous state, or ValueError."""
         return np.ndarray(self.shape, self.dtype, buf, 0, self.strides)
+
+
+def _sums(first: int, hops: list[int]) -> tuple[int, ...]:
+    """``first`` plus the ``hops`` of the set bits of each index, in index order."""
+    sums = [first]
+    for hop in hops:
+        sums += [s + hop for s in sums]
+    return tuple(sums)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -320,11 +332,13 @@ def _plan(num_qubits: int, target: int, controls: tuple[int, ...], window: int,
     The mapping is a bit deposit: it spreads the bits of ``i`` over fixed
     positions and ORs in fixed bits, ``base``. So the step of bit ``b``, the
     mapping of ``2**b`` less ``base``, places each pair (module docstring):
-    the window index's bits step by the hops, and each window is one lattice,
-    whose axes merge runs of doubling steps. A swap's ``run`` lowest iteration
-    bits step 1, 2, 4, ... amplitudes, as qubits ``0..run-1`` are neither
-    target nor control (and ``run`` is at most the window's bits), so each run
-    of ``2**run`` pairs is one opaque ``np.void`` element; else ``run`` is 0.
+    the window index's bits step by the hops, the steps of the bits above the
+    window's, which the half tables sum with ``base`` folded into ``lo``; and
+    each window is one lattice, whose axes merge runs of doubling steps. A
+    swap's ``run`` lowest iteration bits step 1, 2, 4, ... amplitudes, as
+    qubits ``0..run-1`` are neither target nor control (and ``run`` is at
+    most the window's bits), so each run of ``2**run`` pairs is one opaque
+    ``np.void`` element; else ``run`` is 0.
     """
     bits = window.bit_length() - 1
     reduced = num_qubits - 1 - len(controls)
@@ -346,7 +360,9 @@ def _plan(num_qubits: int, target: int, controls: tuple[int, ...], window: int,
     shape = (((1 << num_qubits) - (1 << target) >> run) - reach, *shape[::-1])
     strides = tuple(es * step for step in (1, *strides[::-1]))
     dtype = np.dtype((np.void, es)) if run else np.dtype(dtype)
-    return _Plan(base >> run, tuple(steps[bits:]), shape, strides, dtype)
+    half = bits + (reduced - bits + 1) // 2
+    lo, hi = _sums(base >> run, steps[bits:half]), _sums(0, steps[half:])
+    return _Plan(lo, hi, shape, strides, dtype)
 
 
 def usable_cpus() -> int:
@@ -385,7 +401,10 @@ def _window(workers: int, strategy: Strategy, gate: GateOp) -> int:
 
 def window_bytes(threads: int) -> int:
     """An upper bound on the window temporaries of work given ``threads``
-    threads: one worker's windows, or each of several workers' wider ones."""
+    threads: one worker's windows, or each of several workers' wider ones.
+    A call's window starts come from its cached plan, so beside the plan
+    cache (see the module docstring) this bounds all per-call memory but
+    the state and ``run``'s output chunk."""
     workers = min(threads, usable_cpus())
     return workers * (_WORKER_BYTES if workers == 1 else _WIDE_WORKER_BYTES)
 
@@ -435,15 +454,22 @@ def _template(width: int, target: int) -> np.ndarray:
 
 def _resolve(amps: np.ndarray, gate: GateOp, strategy: Strategy, window: int):
     """Resolve ``gate`` once, in windows of ``window`` iterations over all of
-    ``amps``. Returns ``step(w)``, which runs window ``w``: the baseline's
-    rows ``w``, the optimized kernel's at ``starts[w]`` on the plan's views
-    of ``amps``, which must be C-contiguous, as ``StateVector`` keeps it
-    (numpy raises ValueError). The baseline maps the starts of the rows of
-    every window once per call (see the module docstring)."""
+    ``amps``. Returns ``step(w)``, which runs window ``w`` from the start
+    its plan gives: the optimized kernel's plan of the gate, on the plan's
+    views of ``amps``, which must be C-contiguous, as ``StateVector`` keeps
+    it (numpy raises ValueError); the baseline's plan of the gate without
+    its controls, whose window ``w`` starts at ``ith_cleared(w * window, t)``,
+    plus the template's offsets of the window's rows (see the module
+    docstring)."""
     mat = _matrix_scalars(gate.matrix, amps.dtype)
     t = gate.target
     lower, upper = amps[: amps.shape[0] - (1 << t)], amps[1 << t:]
-    if strategy is Strategy.BASELINE:
+    num_qubits = amps.shape[0].bit_length() - 1
+    baseline = strategy is Strategy.BASELINE
+    controls, swap = ((), False) if baseline else (gate.controls, mat is None)
+    plan = _plan(num_qubits, t, controls, window, swap, amps.dtype)
+    start = plan.start
+    if baseline:
         cmask = sum(1 << c for c in gate.controls)
         # On a window of 16,384 iterations with one control, a boolean index
         # takes 66 us where the mask flips on every iteration (adjusted bit
@@ -452,11 +478,11 @@ def _resolve(amps: np.ndarray, gate: GateOp, strategy: Strategy, window: int):
         flips = any(adjusted_control(c, t) == 0 for c in gate.controls)
         width = min(window, _BLOCK)
         tpl = _template(width, min(t, width.bit_length() - 1))
-        rows = ith_cleared(np.arange(0, amps.shape[0] >> 1, width, dtype=np.int64), t)
-        rows = rows.reshape(-1, window // width, 1)
+        # ith_cleared of disjoint bits is the sum of their images
+        offsets = ith_cleared(np.arange(0, window, width, dtype=np.int64), t)[:, None]
 
         def step(w: int):
-            p1 = (tpl + rows[w]).ravel()
+            p1 = (tpl + (offsets + start(w))).ravel()
             if cmask:
                 met = (p1 & cmask) == cmask
                 p1 = p1.take(met.nonzero()[0]) if flips else p1[met]
@@ -465,13 +491,10 @@ def _resolve(amps: np.ndarray, gate: GateOp, strategy: Strategy, window: int):
 
         return step
 
-    num_qubits = amps.shape[0].bit_length() - 1
-    plan = _plan(num_qubits, t, gate.controls, window, mat is None, amps.dtype)
-    starts = plan.starts()
     xs, ys = plan.view(lower), plan.view(upper)
 
     def step(w: int):
-        _update_pairs(xs, ys, starts[w], mat)
+        _update_pairs(xs, ys, start(w), mat)
 
     return step
 

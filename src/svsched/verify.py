@@ -4,8 +4,9 @@ Three independent checks of the reduced-iteration scheduler:
 
 * every gate geometry (register size, target, ascending control subset) maps
   its reduced iterations, also through the kernel's plans, onto the active set;
-* at every larger register size, sampled geometries' plans of real windows
-  place sampled pairs where the mapping does, by arithmetic alone;
+* at every larger register size, the plans both kernels run for sampled
+  geometries in real windows place sampled pairs where the mapping does, by
+  arithmetic alone;
 * on random gates and random states, both schedulers produce bit-identical
   final state vectors.
 """
@@ -64,7 +65,8 @@ def check_mapping(n: int, target: int, controls: tuple[int, ...]) -> Mismatch | 
         what = f"plan of {window}-iteration windows{' (swap)' if swap else ''}"
         try:
             plan = sched._plan(n, target, controls, window, swap, ids.dtype)
-            got = [plan.view(ids[k << target:])[plan.starts()].view(ids.dtype).real.ravel()
+            starts = [plan.start(w) for w in range(len(plan.lo) * len(plan.hi))]
+            got = [plan.view(ids[k << target:])[starts].view(ids.dtype).real.ravel()
                    for k in (0, 1)]
         except Exception as exc:
             return Mismatch(n, target, controls, f"{what} raised {type(exc).__name__}: {exc}")
@@ -91,9 +93,9 @@ def check_plan(n: int, gate: GateOp, window: int, plan, itemsize: int, rng) -> s
     arithmetic on its fields alone: its lattice must fit the state also
     ``2**t`` higher, and sampled pairs of its first, last and three seeded
     windows must sit where the mapping puts them."""
-    t, controls, starts = gate.target, gate.controls, plan.starts()
-    if len(starts) * window != sched.iteration_count(Strategy.OPTIMIZED, n, gate):
-        return f"lists {len(starts)} windows"
+    t, controls, windows = gate.target, gate.controls, len(plan.lo) * len(plan.hi)
+    if windows * window != sched.iteration_count(Strategy.OPTIMIZED, n, gate):
+        return f"lists {windows} windows"
     es = plan.dtype.itemsize
     per = es // itemsize  # amplitudes per element
     if es % itemsize or any(stride <= 0 or stride % es for stride in plan.strides):
@@ -101,13 +103,14 @@ def check_plan(n: int, gate: GateOp, window: int, plan, itemsize: int, rng) -> s
     steps = [stride // es for stride in plan.strides]
     reach = sum((size - 1) * step for size, step in zip(plan.shape, steps))
     span = (reach + 1) * per + (1 << t)  # amplitudes, with the partners 2**t higher
-    if not 0 <= min(starts) <= max(starts) < plan.shape[0] or span > 1 << n:
-        return f"has lattice {plan.shape} at starts up to {max(starts)}, past the state"
+    first, last = min(plan.lo) + min(plan.hi), max(plan.lo) + max(plan.hi)
+    if not 0 <= first <= last < plan.shape[0] or span > 1 << n:
+        return f"has lattice {plan.shape} at starts up to {last}, past the state"
     js = np.unique(np.concatenate(([0, window - 1], rng.integers(0, window, 6))))
     coords = np.unravel_index(js // per, plan.shape[1:])
     offset = sum(c * step for c, step in zip(coords, steps[1:]))
-    for w in sorted({0, len(starts) - 1, *rng.integers(0, len(starts), 3).tolist()}):
-        got = (starts[w] + offset) * per + js % per
+    for w in sorted({0, windows - 1, *rng.integers(0, windows, 3).tolist()}):
+        got = (plan.start(w) + offset) * per + js % per
         want = ith_cleared(reduced_to_global(w * window + js, t, controls), t)
         if not np.array_equal(got, want):
             return f"places window {w}'s pairs {js.tolist()} at {got.tolist()} != {want.tolist()}"
@@ -117,27 +120,33 @@ def check_plan(n: int, gate: GateOp, window: int, plan, itemsize: int, rng) -> s
 def verify_plans(seed: int = 0) -> tuple[int, list[Mismatch]]:
     """``check_plan`` on three seeded geometries of up to three controls at
     every register size from 9 qubits to ``MAX_QUBITS``, in the windows of
-    one and two workers (``sched._window``), both precisions, swap and not.
-    Returns (plans checked, mismatches); a plan that raises is a mismatch."""
+    one and two workers (``sched._window``), both precisions: the optimized
+    kernel's plans, swap and not, and the baseline's, of the gate without
+    its controls in the baseline's windows, as ``sched._resolve`` looks them
+    up. Returns (plans checked, mismatches); a plan that raises is a
+    mismatch."""
     rng, mismatches = np.random.default_rng(seed), []
     geometries = [(n, int(rng.integers(n))) for n in range(9, MAX_QUBITS + 1) for _ in range(3)]
-    cases = list(product((1, 2), PRECISION_DTYPES, (False, True)))
+    runs = [(False, Strategy.OPTIMIZED), (True, Strategy.OPTIMIZED), (False, Strategy.BASELINE)]
+    cases = [(*case, *run) for case in product((1, 2), PRECISION_DTYPES) for run in runs]
     for n, t in geometries:
         others = [q for q in range(n) if q != t]
         controls = tuple(sorted(map(int, rng.choice(others, rng.integers(4), False))))
         gate = GateOp(gate_x(), t, controls)
-        count = sched.iteration_count(Strategy.OPTIMIZED, n, gate)
-        for workers, precision, swap in cases:
-            window = min(count, sched._window(workers, Strategy.OPTIMIZED, gate))
+        for workers, precision, swap, strategy in cases:
+            baseline = strategy is Strategy.BASELINE
+            planned = GateOp(gate.matrix, t) if baseline else gate
+            count = sched.iteration_count(Strategy.OPTIMIZED, n, planned)
+            window = min(count, sched._window(workers, strategy, gate))
             dtype = np.dtype(PRECISION_DTYPES[precision])
             try:
-                plan = sched._plan(n, t, controls, window, swap, dtype)
-                detail = check_plan(n, gate, window, plan, dtype.itemsize, rng)
+                plan = sched._plan(n, t, planned.controls, window, swap, dtype)
+                detail = check_plan(n, planned, window, plan, dtype.itemsize, rng)
             except Exception as exc:
                 detail = f"raised {type(exc).__name__}: {exc}"
             if detail is not None:
                 what = f"{precision}-precision plan of {window}-iteration windows"
-                what += " (swap)" if swap else ""
+                what += " (swap)" if swap else " (baseline)" if baseline else ""
                 mismatches.append(Mismatch(n, t, controls, f"{what} {detail}"))
     return len(geometries) * len(cases), mismatches
 

@@ -390,22 +390,23 @@ class TestVerify:
         assert "mismatch at (n=3, t=1, C={0})" in out
 
     def test_a_plan_whose_last_hop_is_off_by_one_is_reported(self, capsys, monkeypatch):
-        # the mapping suite reads the plans the optimized kernel runs
+        # the mapping suite reads the plans the kernels run: the last entry
+        # of the high half table one element low moves the last windows'
+        # pairs, which the suite must name, not an exception
         real = svsched.sched._plan
 
         def mutant(*args):
             plan = real(*args)
-            if plan.hops:
-                plan = plan._replace(hops=(*plan.hops[:-1], plan.hops[-1] + 1))
-            return plan
+            return plan._replace(hi=(*plan.hi[:-1], plan.hi[-1] - 1))
 
         monkeypatch.setattr(svsched.sched, "_plan", mutant)
         checked, mismatches = svsched.verify.verify_mappings(4)
         assert checked == 2 * 2 + 3 * 4 + 4 * 8 and mismatches
-        assert "plan of 1-iteration windows" in mismatches[0].detail
+        assert "plan of 1-iteration windows updates " in mismatches[0].detail
+        assert not any("raised" in miss.detail for miss in mismatches)
         code, out, err = run_cli(capsys, "verify", "--cases", "0")
         assert code == EXIT_VERIFY
-        assert "mapping mismatch at (n=2, t=0, C={}): plan of 1-iteration windows" in out
+        assert "mapping mismatch at (n=2, t=0, C={}): plan of 1-iteration windows updates " in out
         assert "Traceback" not in err
 
     def test_verify_reads_the_view_the_kernel_builds(self, capsys, monkeypatch):
@@ -436,20 +437,47 @@ class TestVerify:
     def test_a_plan_wrong_only_at_large_registers_is_reported(
         self, capsys, monkeypatch, wrong, where
     ):
-        # bit 0 of the last hop flipped at sizes no test can hold a state of
+        # the last entry of the high half table one element low, at sizes
+        # no test can hold a state of: the last window's pairs move
         real = svsched.sched._plan
 
         def mutant(n, t, controls, window, swap, dtype):
             plan = real(n, t, controls, window, swap, dtype)
-            if wrong(n, dtype) and plan.hops:
-                plan = plan._replace(hops=(*plan.hops[:-1], plan.hops[-1] ^ 1))
+            if wrong(n, dtype):
+                plan = plan._replace(hi=(*plan.hi[:-1], plan.hi[-1] - 1))
             return plan
 
         monkeypatch.setattr(svsched.sched, "_plan", mutant)
-        assert svsched.verify.verify_plans(22)[1]
+        mismatches = svsched.verify.verify_plans(22)[1]
+        assert mismatches and all(" places window " in miss.detail for miss in mismatches)
         code, out, err = run_cli(capsys, "verify", "--cases", "0")
         assert code == EXIT_VERIFY and "Traceback" not in err
         assert f"\nplan mismatch at {where}" in out
+        assert " places window " in out
+
+    def test_baseline_window_starts_wrong_only_at_large_registers_are_reported(
+        self, capsys, monkeypatch
+    ):
+        # the baseline runs the plan of its gate without the controls; every
+        # window but the first starts one pair low from 25 qubits up
+        real = svsched.sched._plan
+
+        def mutant(n, t, controls, window, swap, dtype):
+            plan = real(n, t, controls, window, swap, dtype)
+            if n >= 25 and not controls and not swap:
+                plan = plan._replace(lo=(plan.lo[0], *(s - 1 for s in plan.lo[1:])))
+            return plan
+
+        monkeypatch.setattr(svsched.sched, "_plan", mutant)
+        checked, mismatches = svsched.verify.verify_plans(22)
+        assert checked == 792 and all(" places window " in miss.detail for miss in mismatches)
+        assert min(miss.num_qubits for miss in mismatches) == 25
+        # 6 sizes, 3 geometries each, 1 and 2 workers, both precisions
+        baseline = [miss for miss in mismatches if " (baseline) " in miss.detail]
+        assert len(baseline) == 6 * 3 * 2 * 2
+        code, out, err = run_cli(capsys, "verify", "--cases", "0")
+        assert code == EXIT_VERIFY and "Traceback" not in err
+        assert "\nplan mismatch at (n=25, " in out
 
     def test_a_scheduler_that_raises_is_a_mismatch(self, capsys, monkeypatch):
         # the optimized scheduler fails on the first geometry it is given

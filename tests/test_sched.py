@@ -893,22 +893,24 @@ class TestPlan:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_each_window_size_gets_its_own_plan(self, monkeypatch, strategy):
         # the same gates under 8- and 4096-iteration blocks in one process;
-        # the baseline's plan is its index template
+        # the baseline's plan is its gate's without the controls, beside its
+        # index template
         n, t, controls = 14, 5, (2, 9)
         rec = PairRecorder(monkeypatch)
         want = expected_pair_indices(strategy, n, t, controls)
-        cache = sched._plan if strategy is Strategy.OPTIMIZED else sched._template
-        cache.cache_clear()
+        caches = [sched._plan] if strategy is Strategy.OPTIMIZED else list(CACHES)
+        clear_caches()
         for block in (8, 4096):
             monkeypatch.setattr(sched, "_BLOCK", block)
-            misses = cache.cache_info().misses
+            misses = [cache.cache_info().misses for cache in caches]
             for matrix in (gate_h(), gate_x()):
                 rec.seen.clear()
                 state = new_state(n)
                 rec.amps = state.amplitudes
                 apply_gate(state, GateOp(matrix, t, controls), strategy)
                 assert np.array_equal(rec.first_indices(1 << t), want), (block, matrix)
-            assert cache.cache_info().misses > misses
+            for cache, missed in zip(caches, misses):
+                assert cache.cache_info().misses > missed, cache
 
     def test_thirty_qubit_plan_holds_o_n_ints(self):
         # built without a state; the mapping runs on 29 - 2 reduced bits only
@@ -921,49 +923,55 @@ class TestPlan:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
-        ints = [plan.base, *plan.hops, *plan.shape, *plan.strides]
-        assert all(type(v) is int for v in ints)
-        assert len(ints) <= 3 * n
-        # qubits 0-2 are free: runs of 8 amplitudes, and the plan counts them
-        assert plan.dtype.itemsize == 8 * dtype.itemsize
-        assert plan.base == ((1 << 3) | (1 << 20)) >> 3
+        # 2**15 windows: the half tables hold 2**8 and 2**7 starts
         free = [q for q in range(n) if q not in (t, *controls)]
-        assert plan.hops == tuple(1 << q >> 3 for q in free[_BLOCK.bit_length() - 1 :])
-        # the first 16 of 2**15 windows, in elements of 8 amplitudes, listed
-        # from the plan as _resolve lists them
-        starts = [plan.base]
-        for hop in plan.hops[:4]:
-            starts += [s + hop for s in starts]
-        first = np.arange(16, dtype=np.int64) * _BLOCK
+        hops = [1 << q >> 3 for q in free[_BLOCK.bit_length() - 1 :]]
+        assert len(hops) == 15
+        assert len(plan.lo) + len(plan.hi) <= 2 * 2 ** ((len(hops) + 1) // 2)
+        ints = [*plan.lo, *plan.hi, *plan.shape, *plan.strides]
+        assert all(type(v) is int for v in ints)
+        assert len(plan.shape) + len(plan.strides) <= 2 * n
+        # qubits 0-2 are free: runs of 8 amplitudes, and the plan counts them;
+        # lo folds in the fixed bits, and each half steps by its hops
+        assert plan.dtype.itemsize == 8 * dtype.itemsize
+        assert plan.lo[0] == ((1 << 3) | (1 << 20)) >> 3 and plan.hi[0] == 0
+        h = len(plan.lo).bit_length() - 1
+        steps = [plan.lo[1 << k] - plan.lo[0] for k in range(h)]
+        assert steps + [plan.hi[1 << k] for k in range(len(hops) - h)] == hops
+        # windows in and past the low table, in elements of 8 amplitudes,
+        # started as _resolve starts them: Python ints, which _update_pairs
+        # takes as a basic key
+        ws = [*range(16), (1 << h) - 1, 1 << h, (1 << h) + 1, (1 << 15) - 1]
+        starts = [plan.start(w) for w in ws]
+        assert all(type(s) is int for s in starts)
+        first = np.array(ws, dtype=np.int64) * _BLOCK
         want = ith_cleared(reduced_to_global(first, t, controls), t) >> 3
         assert starts == want.tolist()
 
     def test_thirty_qubit_call_tables(self):
-        # Besides its windows, a gate call holds one table over the whole
-        # register, traced here without a state: the optimized kernel's
-        # window starts, 40 bytes a window of 2 * _BLOCK iterations (an int
-        # and its list slot) and 45 at the peak, 65,536 windows at 30
-        # qubits, and the baseline's row starts, 8 bytes a row of _BLOCK
-        # iterations and 24 at the peak, 131,072 rows, over a zero-stride
-        # stand-in for a 30-qubit state.
+        # Besides its windows, a gate call holds its plan, built here from
+        # cold caches: two half tables of window starts, 256 + 256 for an
+        # uncontrolled gate on 30 qubits in windows of 2 * _BLOCK
+        # iterations, and no table over the whole register. The optimized
+        # kernel's call adds two views of the state to it, traced here
+        # without a state; the baseline's, over a zero-stride stand-in for
+        # a 30-qubit state, its template and its rows' offsets.
         n, dtype = 30, np.dtype(np.complex128)
-        entries = (1 << (n - 1)) // _BLOCK
         window = sched._window(1, Strategy.OPTIMIZED, GateOp(gate_h(), 7))
         assert window == 2 * _BLOCK
-        sched._plan.cache_clear()
+        clear_caches()
         tracemalloc.start()
         try:
-            starts = sched._plan(n, 7, (), window, False, dtype).starts()
-            held, peak = tracemalloc.get_traced_memory()
+            plan = sched._plan(n, 7, (), window, False, dtype)
+            held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(starts) == entries // 2
-        assert held < 41 * entries // 2 and peak < 45 * entries // 2
-        del starts
+        assert len(plan.lo) == len(plan.hi) == 1 << 8
+        assert held < 64 << 10
+        del plan
         amps = np.broadcast_to(dtype.type(0), (1 << n,))
-        sched._template.cache_clear()
-        template = 8 * _BLOCK + (1 << 12)
         for window, controls in ((2 * _BLOCK, ()), (4 * _BLOCK, (0,))):
+            clear_caches()
             tracemalloc.start()
             try:
                 gate = GateOp(gate_h(), 7, controls)
@@ -971,18 +979,18 @@ class TestPlan:
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert held < 8 * entries + template and peak < 24 * entries + template
+            assert held < 64 << 10 and peak < 192 << 10, (held, peak)
             del step
 
     def test_plans_at_every_register_size_place_sampled_pairs(self):
         # Without a state: at every register size the CLI accepts, sampled
-        # pairs of the first, last and seeded windows of each plan, read
-        # from its starts, shape, byte strides and element size alone, are
-        # the pairs the mapping gives, and its lattice stays in the state
-        # also 2**t higher (verify.check_plan).
+        # pairs of the first, last and seeded windows of each plan either
+        # kernel runs, read from its half tables, shape, byte strides and
+        # element size alone, are the pairs the mapping gives, and its
+        # lattice stays in the state also 2**t higher (verify.check_plan).
         tracemalloc.start()
         try:
-            assert verify_plans(22) == (528, [])
+            assert verify_plans(22) == (792, [])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1008,9 +1016,10 @@ class TestWarmGates:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_second_call_builds_nothing(self, monkeypatch, strategy):
         # 4 windows of 4 * _BLOCK iterations (baseline, whose control 0
-        # halves every window) or 2 of 2 * _BLOCK (optimized); only the
-        # baseline calls ith_cleared, once on the starts of all its rows,
-        # and the baseline has no plan
+        # halves every window) or 2 of 2 * _BLOCK (optimized); each looks up
+        # its plan, the baseline's without the controls, and only the
+        # baseline calls ith_cleared, once on its window's row offsets, not
+        # on every row of the register
         calls = []
 
         def spy(name):
@@ -1039,12 +1048,15 @@ class TestWarmGates:
                 assert first[0] is None
             else:
                 assert np.array(mat).tobytes() == np.array(first[0]).tobytes()
+            (name, args, _), *rest = rest
+            assert name == "_plan", matrix
             if strategy is Strategy.OPTIMIZED:
-                assert [name for name, _, _ in rest] == ["_plan"], matrix
+                assert args[:4] == (17, 3, (0, 7), 2 * _BLOCK) and not rest, matrix
             else:
+                assert args[:5] == (17, 3, (), 4 * _BLOCK, False)
                 (name, (rows, t), _), = rest
                 assert name == "ith_cleared" and t == 3
-                assert rows.tolist() == list(range(0, 1 << 16, _BLOCK))
+                assert rows.tolist() == list(range(0, 4 * _BLOCK, _BLOCK))
             calls.clear()
 
     @pytest.mark.parametrize("precision", ["double", "single"])
@@ -1057,7 +1069,7 @@ class TestWarmGates:
         # and for a controlled gate their masked bits, the mask, and the
         # survivors with their indices. Control 0 flips the mask on every
         # iteration, control 12 does not; both halve a window of 4 * _BLOCK
-        # iterations. 8 KiB more covers the call's row starts and objects.
+        # iterations. 8 KiB more covers the call's row offsets and objects.
         state = new_state(19, precision)
         for controls in ((), (0,), (12,)):
             window = one_worker_window(strategy, controls)
